@@ -102,16 +102,6 @@ class CloudParams:
     #: how long a tripped flow stays quiesced after the last detection
     integrity_trip_cooldown: float = 2.0
 
-    # -- fleet-scale state hygiene (repro.fleet) --------------------------
-    #: evict per-flow / per-tenant control-plane state on detach: the
-    #: detach saga gains a post-pivot ``evict-state`` step that forgets
-    #: the flow's pinned conntrack entries and — once the tenant's last
-    #: flow is gone — releases its gateway pair and drops its
-    #: per-tenant obs metrics scope.  Off by default: conntrack and
-    #: gateways then outlive detach (the pre-fleet behavior), keeping
-    #: knob-off runs bit-identical to ``BENCH_kernel.json``.
-    evict_detached: bool = False
-
     # -- express fast path ------------------------------------------------
     #: simulate established flows analytically instead of per packet
     #: (repro.net.express).  Off by default: packet mode is the exact

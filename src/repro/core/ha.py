@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.saga import (
     ABORTED,
+    COMPACT_THRESHOLD,
     ControlPlaneNode,
     IntentLog,
     QuorumLost,
@@ -112,7 +113,7 @@ class HaConfig:
     #: seed for the per-replica timeout jitter streams
     seed: int = 0
     #: auto-compact the logs once this many sagas resolve
-    compact_threshold: int = 64
+    compact_threshold: int = COMPACT_THRESHOLD
 
 
 @dataclass
@@ -629,9 +630,7 @@ class HaCluster:
         every replica log; returns the count dropped from the leader's
         copy.  Local-only state surgery — always safe, any time."""
         dropped = 0
-        log = self.storm.intent_log
-        if log is not None:
-            log.compact()
+        self.storm.intent_log.compact()
         for node in self.nodes:
             count = self.logs[node.name].compact()
             if node.name == self.leader_name:

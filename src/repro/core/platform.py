@@ -15,15 +15,15 @@ volume attach*:
 5. remove the transient NAT rules and release the mutex.
 
 Every multi-step control operation runs as a :class:`~repro.core.saga.Saga`
-of idempotent steps with compensating rollbacks.  With
-``transactional=True`` the platform also journals each saga in a
+of idempotent steps with compensating rollbacks, journaled in a
 write-ahead :class:`~repro.core.saga.IntentLog` on a crashable
-:class:`~repro.core.saga.ControlPlaneNode`, so a controller crash
+:class:`~repro.core.saga.ControlPlaneNode`.  A controller crash
 mid-operation (``FaultInjector.crash``) is recovered on restart by
 :meth:`StorM.recover` — replay past the pivot step, rollback before it
 — never leaving a half-spliced flow, a leaked wildcard rule, or an
-orphaned NAT entry.  The knob defaults off: injector-off runs are
-bit-identical to the non-transactional platform.
+orphaned NAT entry.  Detach evicts what the attach pinned (conntrack,
+attribution) and, with the tenant's last flow, its gateway pair and
+metric scope, so platform state stays O(active flows) under churn.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Callable, Optional
 
-from repro.analysis.events import EventLog
 from repro.cloud.compute import ComputeHost
 from repro.cloud.controller import CloudController
 from repro.cloud.tenant import Tenant
@@ -45,6 +44,7 @@ from repro.core.relay import ActiveRelay, PassiveRelay, RelayMode
 from repro.core.saga import (
     ABORTED,
     COMMITTED,
+    COMPACT_THRESHOLD,
     IN_FLIGHT,
     ControllerCrashed,
     ControlPlaneNode,
@@ -62,6 +62,7 @@ from repro.core.splicing import (
     remove_attach_nat,
 )
 from repro.core.steering import SteeringChain
+from repro.obs.eventlog import EventLog
 from repro.sim import Resource, Simulator
 
 
@@ -98,7 +99,6 @@ class StorM:
         self,
         sim: Simulator,
         cloud: CloudController,
-        transactional: bool = False,
         event_log: Optional[EventLog] = None,
         ha: bool = False,
         ha_config=None,
@@ -116,14 +116,11 @@ class StorM:
         #: list — pure bookkeeping, no simulation events.
         self._tenant_flows: dict[str, int] = {}
         self._mb_refs: dict[str, int] = {}
-        #: attaches in flight (saga begun, flow not yet registered) per
-        #: tenant — the detach-side eviction must not tear down a
-        #: tenant's gateways while a concurrent attach is mid-saga.
+        #: attaches in flight (saga begun, neither ended nor rolled
+        #: back) per tenant — eviction, by a detach or an aborted
+        #: attach, must not tear down a tenant's gateways while a
+        #: concurrent attach is mid-saga.
         self._tenant_pending: dict[str, int] = {}
-        #: state-eviction knob (``CloudParams.evict_detached``): when
-        #: on, the detach saga tears down the flow's pinned conntrack
-        #: and idle tenants' gateways/metric scopes.
-        self.evict_detached = cloud.params.evict_detached
         #: post-commit hook called as ``on_saga_commit(saga)``; the
         #: fleet generator uses it to read per-saga shipping RTT for
         #: attach-latency attribution.  None = zero overhead.
@@ -140,31 +137,29 @@ class StorM:
         #: non-None every saga runs under a span with step events, and
         #: gateways/relays/services created later inherit the bus.
         self.obs = None
-        self.transactional = transactional
-        self.controller: Optional[ControlPlaneNode] = None
-        self.intent_log: Optional[IntentLog] = None
         #: test/chaos hook: called as ``probe(saga, step, "before"|"after")``
         #: around every step — the control-plane chaos matrix uses it to
         #: crash the controller at exact saga points.
         self.saga_probe: Optional[Callable[[Saga, SagaStep, str], None]] = None
+        #: the write-ahead journal every saga is recorded in
+        self.intent_log = IntentLog()
+        #: sagas resolved since the single-node log was last compacted
+        self._resolved_since_compact = 0
         #: replicated control plane (:mod:`repro.core.ha`); None keeps
-        #: the single-node (or non-transactional) platform bit-identical.
+        #: the single-node platform bit-identical.
         self.ha = None
         if ha or ha_config is not None:
             from repro.core.ha import HaCluster, HaConfig
 
-            self.transactional = True
-            self.intent_log = IntentLog()
             self.ha = HaCluster(
                 self,
                 ha_config if ha_config is not None else HaConfig(),
             )
             self.intent_log.shipper = self.ha
             self.controller = self.ha.leader_node
-        elif transactional:
+        else:
             self.controller = ControlPlaneNode(sim)
             self.controller.on_restart = self.recover
-            self.intent_log = IntentLog()
 
     # -- end-to-end integrity ----------------------------------------------
 
@@ -265,6 +260,16 @@ class StorM:
         release_gateway_pair(self.cloud, pair)
         return True
 
+    def _release_idle_tenant(self, tenant_name: str) -> None:
+        """Drop a tenant's per-tenant state — the metrics scope and the
+        gateway pair — once it has no live flow and no attach is
+        mid-saga.  Idempotent."""
+        if self._tenant_flows.get(tenant_name) or self._tenant_pending.get(tenant_name):
+            return
+        if self.obs is not None:
+            self.obs.release_scope(tenant_name)
+        self.release_gateways(tenant_name)
+
     # -- flow bookkeeping ---------------------------------------------------
 
     def tenant_flow_count(self, tenant_name: str) -> int:
@@ -305,14 +310,8 @@ class StorM:
         state: Optional[dict] = None,
         **detail,
     ) -> Saga:
-        if self.intent_log is not None:
-            saga = self.intent_log.begin(op, cookie, steps, detail)
-            self._record("saga.begin", cookie, op=op)
-        else:
-            # non-transactional: an ephemeral saga gives the same ordered
-            # execution and failure compensation, just without the journal
-            # (and hence without crash recovery).
-            saga = Saga(0, op, cookie, steps, detail)
+        saga = self.intent_log.begin(op, cookie, steps, detail)
+        self._record("saga.begin", cookie, op=op)
         if state is not None:
             # the step closures were built over this dict; ``store``d
             # results must land where they read.
@@ -327,7 +326,7 @@ class StorM:
             if not self.ha.has_authority(saga):
                 raise ControllerCrashed(saga.op, step_name)
             return
-        if self.controller is not None and self.controller.crashed:
+        if self.controller.crashed:
             raise ControllerCrashed(saga.op, step_name)
 
     def _probe(self, saga: Saga, step: SagaStep, when: str) -> None:
@@ -352,19 +351,20 @@ class StorM:
             saga.mark("pivot")
 
     def _execute_saga(self, saga: Saga):
-        """Process: run a saga that may contain yielding steps.
+        """Process: the one saga step loop.
 
-        Holds the attach mutex across the ``locked`` step prefix.  On
-        an ordinary exception the started steps are compensated
-        immediately; on :class:`ControllerCrashed` the saga is left
-        in-flight in the intent log for :meth:`recover`.
+        A step whose ``do`` returns a generator runs as a child
+        process.  Holds the attach mutex across the ``locked`` step
+        prefix.  On an ordinary exception the started steps are
+        compensated immediately; on :class:`ControllerCrashed` the saga
+        is left in-flight in the intent log for :meth:`recover`.
         """
         grant = None
         span = self._saga_span(saga)
-        if any(step.locked for step in saga.steps):
-            grant = self._attach_mutex.request()
-            yield grant
         try:
+            if any(step.locked for step in saga.steps):
+                grant = self._attach_mutex.request()
+                yield grant
             for step in saga.steps:
                 if grant is not None and not step.locked:
                     self._attach_mutex.release(grant)
@@ -401,42 +401,25 @@ class StorM:
             return None
         return self.obs.span(f"saga.{saga.op}", cookie=saga.cookie)
 
-    def _execute_saga_sync(self, saga: Saga):
-        """Synchronous executor for sagas whose steps never yield
-        (detach, reconfigure, provisioning)."""
-        span = self._saga_span(saga)
+    def _run_saga(self, saga: Saga):
+        """Drive :meth:`_execute_saga` to completion on the caller's
+        stack, for sagas that never wait (provisioning, reconfigure,
+        detach: no ``locked`` step, no step returning a generator).
+        A saga that would wait is aborted with :class:`SagaError`."""
+        run = self._execute_saga(saga)
         try:
-            for step in saga.steps:
-                self._probe(saga, step, "before")
-                saga.mark(f"start:{step.name}")
-                result = step.do()
-                if isinstance(result, GeneratorType):
-                    raise SagaError(
-                        f"step {step.name!r} of {saga.op!r} yields; use the process executor"
-                    )
-                self._finish_step(saga, step, result)
-                if span is not None:
-                    span.event("saga.step", target=step.name)
-                self._probe(saga, step, "after")
-            self._commit_saga(saga)
-            if span is not None:
-                span.finish("committed")
-            return saga.results.get(saga.steps[-1].name) if saga.steps else None
-        except ControllerCrashed:
-            if span is not None:
-                span.finish("crashed")
-            raise
-        except BaseException:
-            self._rollback_saga(saga)
-            if span is not None:
-                span.finish("aborted")
-            raise
+            waited_on = next(run)
+        except StopIteration as done:
+            return done.value
+        run.throw(SagaError(
+            f"saga {saga.op!r} waits on {waited_on!r}; run it as a process"
+        ))
 
     def _commit_saga(self, saga: Saga) -> None:
         saga.status = COMMITTED
         saga.mark("commit")
-        if self.intent_log is not None:
-            self._record("saga.commit", saga.cookie, op=saga.op)
+        self._record("saga.commit", saga.cookie, op=saga.op)
+        self._saga_resolved()
         if self.on_saga_commit is not None:
             self.on_saga_commit(saga)
 
@@ -452,8 +435,21 @@ class StorM:
             self._record("saga.undo", saga.cookie, op=saga.op, step=step.name)
         saga.status = ABORTED
         saga.mark("abort")
-        if self.intent_log is not None:
-            self._record("saga.rollback", saga.cookie, op=saga.op)
+        self._record("saga.rollback", saga.cookie, op=saga.op)
+        self._saga_resolved()
+        if saga.on_abort is not None:
+            saga.on_abort()
+
+    def _saga_resolved(self) -> None:
+        """Keep the single-node intent log O(active sagas): snapshot
+        resolved sagas out every ``COMPACT_THRESHOLD`` resolutions.
+        (An HA cluster compacts its logs on its own threshold.)"""
+        if self.ha is not None:
+            return
+        self._resolved_since_compact += 1
+        if self._resolved_since_compact >= COMPACT_THRESHOLD:
+            self.intent_log.compact()
+            self._resolved_since_compact = 0
 
     def _replay_saga(self, saga: Saga) -> None:
         """Roll a pivoted saga forward: re-run every step not yet
@@ -477,8 +473,6 @@ class StorM:
         compensate it otherwise.  Called by the fault injector's
         restart of the controller node; safe to call repeatedly."""
         summary = {"replayed": 0, "rolled_back": 0}
-        if self.intent_log is None:
-            return summary
         for saga in self.intent_log.incomplete():
             if saga.pivoted:
                 self._replay_saga(saga)
@@ -522,7 +516,7 @@ class StorM:
             tenant=tenant.name,
             kind=spec.kind,
         )
-        return self._execute_saga_sync(saga)
+        return self._run_saga(saga)
 
     def _provision_middlebox_impl(self, tenant: Tenant, spec: ServiceSpec) -> MiddleBox:
         host = (
@@ -587,7 +581,7 @@ class StorM:
             ],
             mb=mb.name,
         )
-        self._execute_saga_sync(saga)
+        self._run_saga(saga)
 
     def _deprovision_middlebox_impl(self, mb: MiddleBox) -> None:
         if self.middleboxes.pop(mb.name, None) is None:
@@ -763,14 +757,32 @@ class StorM:
         saga = self._begin_saga(op, cookie, steps, state=state, **(detail or {}))
         pending = self._tenant_pending
         pending[tenant.name] = pending.get(tenant.name, 0) + 1
-        try:
-            flow = yield from self._execute_saga(saga)
-        finally:
+        settled = False
+
+        def settle():
+            # this attach stops counting as pending exactly once: when
+            # its process ends or its saga rolls back, whichever is first
+            nonlocal settled
+            if settled:
+                return
+            settled = True
             left = pending.get(tenant.name, 0) - 1
             if left > 0:
                 pending[tenant.name] = left
             else:
                 pending.pop(tenant.name, None)
+
+        def on_abort():
+            # ensure_gateways ran outside the saga, so no step undoes
+            # it: an aborted attach releases an otherwise idle pair
+            settle()
+            self._release_idle_tenant(tenant.name)
+
+        saga.on_abort = on_abort
+        try:
+            flow = yield from self._execute_saga(saga)
+        finally:
+            settle()
         return flow
 
     def attach_with_services(
@@ -951,7 +963,7 @@ class StorM:
             state=state,
             chain=[mb.name for mb in middleboxes],
         )
-        self._execute_saga_sync(saga)
+        self._run_saga(saga)
 
     def detach(self, flow: StorMFlow) -> None:
         """Tear down a flow: close the session, remove its rules, and
@@ -994,36 +1006,24 @@ class StorM:
                 self.attributor.forget(
                     flow.host.storage_iface.ip, flow.src_port
                 )
-            # Then tenant-wide state, once the last flow is gone and no
-            # attach is mid-saga: the per-tenant metrics scope and the
-            # gateway pair itself.
-            if (
-                self.tenant_flow_count(flow.tenant_name) == 0
-                and not self._tenant_pending.get(flow.tenant_name)
-            ):
-                if self.obs is not None:
-                    self.obs.release_scope(flow.tenant_name)
-                self.release_gateways(flow.tenant_name)
+            # Then tenant-wide state, once the last flow is gone.
+            self._release_idle_tenant(flow.tenant_name)
 
-        steps = [
-            # the pivot is first on purpose: a mid-detach crash must
-            # finish the teardown, never reopen the session
-            SagaStep("close-session", do=do_close, pivot=True, locked=False,
-                     forward_only=True),
-            SagaStep("remove-rules", do=do_remove_rules, locked=False),
-            SagaStep("unregister-flow", do=do_unregister, locked=False),
-        ]
-        if self.evict_detached:
-            # past the pivot and pure cleanup: never compensated
-            steps.append(
-                SagaStep("evict-state", do=do_evict, locked=False,
-                         forward_only=True)
-            )
         saga = self._begin_saga(
             "detach",
             flow.cookie,
-            steps,
+            [
+                # the pivot is first on purpose: a mid-detach crash must
+                # finish the teardown, never reopen the session
+                SagaStep("close-session", do=do_close, pivot=True, locked=False,
+                         forward_only=True),
+                SagaStep("remove-rules", do=do_remove_rules, locked=False),
+                SagaStep("unregister-flow", do=do_unregister, locked=False),
+                # past the pivot and pure cleanup: never compensated
+                SagaStep("evict-state", do=do_evict, locked=False,
+                         forward_only=True),
+            ],
             vm=flow.vm_name,
             volume=flow.volume_name,
         )
-        self._execute_saga_sync(saga)
+        self._run_saga(saga)

@@ -2,9 +2,9 @@
 
 The saga machinery (:mod:`repro.core.saga`) keeps *individual*
 operations atomic; the :class:`Reconciler` closes the remaining gap —
-drift that no single operation owns: rules left behind by a crashed
-non-transactional controller, a switch that lost rules the control
-plane believes installed, stale shadowed generations from an
+drift that no single operation owns: rules left behind by a
+controller whose intent log was lost, a switch that lost rules the
+control plane believes installed, stale shadowed generations from an
 interrupted make-before-break swap, middle-box VMs whose flows are
 long gone.
 

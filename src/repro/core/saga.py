@@ -45,6 +45,10 @@ IN_FLIGHT = "in-flight"
 COMMITTED = "committed"
 ABORTED = "aborted"
 
+#: Resolved sagas an intent log accumulates before it is compacted
+#: (single-node platform and HA cluster alike).
+COMPACT_THRESHOLD = 64
+
 
 class SagaError(Exception):
     """Misuse of the saga machinery (e.g. replaying a yielding step)."""
@@ -145,6 +149,11 @@ class Saga:
         #: into the ``fleet.attach.latency`` histogram so attach p99
         #: reflects quorum shipping, not just data-plane connect time.
         self.ship_rtt = 0.0
+        #: called once the saga is rolled back — by the executor on an
+        #: ordinary failure, or by crash recovery / HA takeover.  Not
+        #: journaled: it releases state no step created (the attach's
+        #: gateway pair).
+        self.on_abort: Optional[Callable[[], None]] = None
 
     def mark(self, entry: str) -> None:
         self.journal.append(entry)

@@ -12,9 +12,9 @@ runs the real atomic-attach saga (transient NAT rules, steering-chain
 install/narrow under the mutex, intent-log journaling, HA quorum
 shipping) against a lightweight session object instead of a full
 TCP/iSCSI stack, then ticks synthetic I/O through its hold window and
-runs the real detach saga — with ``evict_detached`` on, so conntrack,
-gateway pairs, middle-boxes, and per-tenant metric scopes all stay
-O(active) under churn.
+runs the real detach saga, whose ``evict-state`` step (together with
+the domain's own middle-box teardown) keeps conntrack, gateway pairs,
+middle-boxes, and per-tenant metric scopes O(active) under churn.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class FleetDomain:
         self.run = run
 
         params = CloudParams(
-            evict_detached=True,
             # wide subnets: gateway/middle-box churn allocates fresh
             # addresses each activation cycle (never reused, for
             # determinism), so /24s would exhaust under fleet churn
@@ -113,7 +112,7 @@ class FleetDomain:
                 ha_config=HaConfig(seed=config.seed * 1009 + domain_id),
             )
         else:
-            self.storm = StorM(sim, self.cloud, transactional=True)
+            self.storm = StorM(sim, self.cloud)
         self.storm.on_saga_commit = self._on_commit
 
         #: per-attach HA shipping RTT, keyed by saga cookie until the
@@ -122,7 +121,6 @@ class FleetDomain:
         self._tenants: dict[int, _TenantState] = {}
         self._next_port = _PORT_BASE
         self._free_ports: list[int] = []
-        self._resolved = 0
 
     # -- deterministic ephemeral ports -------------------------------------
 
@@ -176,17 +174,6 @@ class FleetDomain:
     def _on_commit(self, saga: Saga) -> None:
         if saga.op == "fleet_attach":
             self._ship_rtts[saga.cookie] = saga.ship_rtt
-
-    def _after_detach(self, state: _TenantState) -> None:
-        if state.busy == 0 and self.storm.tenant_flow_count(state.tenant.name) == 0:
-            self._tenant_idle(state)
-        self._resolved += 1
-        if (
-            self.storm.ha is None
-            and self.storm.intent_log is not None
-            and self._resolved % self.config.compact_every == 0
-        ):
-            self.storm.intent_log.compact()
 
     # -- the session processes ----------------------------------------------
 
@@ -257,6 +244,7 @@ class FleetDomain:
         self.storm.detach(flow)
         self._release_port(port)
         state.busy -= 1
-        self._after_detach(state)
+        if state.busy == 0 and self.storm.tenant_flow_count(state.tenant.name) == 0:
+            self._tenant_idle(state)
         if self.run is not None:
             self.run.session_finished()

@@ -34,8 +34,8 @@ class XorService(StorageService):
 class StormEnv:
     """A 4-compute/1-storage cloud with one tenant VM and volume."""
 
-    def __init__(self, volume_size=1024 * BLOCK_SIZE, transactional=False,
-                 express=False, sim=None, params=None):
+    def __init__(self, volume_size=1024 * BLOCK_SIZE, express=False, sim=None,
+                 params=None):
         self.sim = Simulator() if sim is None else sim
         if params is None:
             params = CloudParams(express=True) if express else None
@@ -48,7 +48,7 @@ class StormEnv:
             self.tenant, "vm1", self.cloud.compute_hosts["compute1"]
         )
         self.volume = self.cloud.create_volume(self.tenant, "vol1", volume_size)
-        self.storm = StorM(self.sim, self.cloud, transactional=transactional)
+        self.storm = StorM(self.sim, self.cloud)
         self.storm.register_service("xor", lambda spec, storm: XorService())
 
     def run(self, gen):

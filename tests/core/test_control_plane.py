@@ -5,6 +5,7 @@ import pytest
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.core import StorageService
+from repro.core.saga import ABORTED, SagaError, SagaStep
 from repro.net.switch import cookie_in_family
 
 from tests.core.test_platform import io_roundtrip
@@ -188,3 +189,21 @@ def test_failed_object_attach_leaks_no_rules(env):
     assert family_rules_on_switches(env, cookie) == []
     assert nat_rules_everywhere(env, cookie) == []
     assert env.storm.flows == []
+
+
+def test_synchronous_saga_rejects_a_yielding_step(env):
+    """Sync callers share the process step loop; a step that would make
+    it wait aborts the saga, compensating the started step."""
+    undone = []
+
+    def wait():
+        yield env.sim.timeout(1.0)
+
+    saga = env.storm._begin_saga(
+        "probe", "probe:1",
+        [SagaStep("wait", do=wait, undo=lambda: undone.append("wait"), locked=False)],
+    )
+    with pytest.raises(SagaError, match="run it as a process"):
+        env.storm._run_saga(saga)
+    assert saga.status == ABORTED
+    assert undone == ["wait"]
