@@ -15,8 +15,8 @@ Three scenarios, all deterministic:
   resolve the in-flight saga (``ha.takeover``), and which way it
   resolved.
 - **ship_lag** — drive attach/detach churn through the replicated
-  intent log and read the ``ha.ship.lag`` histogram's percentiles
-  (the obs registry retains raw samples under ``keep_samples``).
+  intent log and read the streaming ``ha.ship.lag`` histogram's
+  min / mean / max.
 
 Every simulated-time number is a pure function of the seed, so
 ``--check-against`` compares them *exactly*; only wall-clock gets a
@@ -129,11 +129,11 @@ def bench_saga_takeover(step_name: str = "narrow", phase: str = "after") -> dict
 
 
 def bench_ship_lag(cycles: int = 6) -> dict:
-    """Attach/detach churn; per-entry replication lag percentiles."""
+    """Attach/detach churn; per-entry replication lag min/mean/max."""
     env = ha_env(params=recovery_params())
     storm = env.storm
     cluster = storm.ha
-    bus = ObsBus(env.sim, keep_samples=True)
+    bus = ObsBus(env.sim)
     instrument(bus, storm=storm)
     cluster.start()
     start = time.perf_counter()
@@ -161,9 +161,8 @@ def bench_ship_lag(cycles: int = 6) -> dict:
         "sim_elapsed": _round6(env.sim.now),
         "cycles": cycles,
         "entries": lag.count,
-        "lag_p50": _round6(lag.percentile(50)),
-        "lag_p90": _round6(lag.percentile(90)),
-        "lag_p99": _round6(lag.percentile(99)),
+        "lag_min": _round6(lag.min if lag.count else 0.0),
+        "lag_mean": _round6(lag.mean),
         "lag_max": _round6(lag.max if lag.count else 0.0),
     }
 
@@ -183,8 +182,8 @@ EXACT_FIELDS = {
                  "mean_downtime"),
     "saga_takeover": ("events", "sim_elapsed", "crashed_at", "takeover_latency",
                       "replayed", "rolled_back", "saga_status", "flows"),
-    "ship_lag": ("events", "sim_elapsed", "cycles", "entries", "lag_p50",
-                 "lag_p90", "lag_p99", "lag_max"),
+    "ship_lag": ("events", "sim_elapsed", "cycles", "entries", "lag_min",
+                 "lag_mean", "lag_max"),
 }
 
 
@@ -232,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-against", type=Path, default=None, metavar="REF_JSON",
         help="assert this run matches a recorded BENCH_ha.json: identical "
-        "downtimes, takeover latency, and lag percentiles (machine-"
+        "downtimes, takeover latency, and ship-lag min/mean/max (machine-"
         "independent), wall-clock within --tolerance",
     )
     parser.add_argument("--tolerance", type=float, default=0.05)
@@ -257,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  election downtimes: {current['election']['downtimes']}  "
         f"takeover: {current['saga_takeover']['takeover_latency']}s  "
-        f"ship lag p99: {current['ship_lag']['lag_p99']}s"
+        f"ship lag max: {current['ship_lag']['lag_max']}s"
     )
 
     if reference is not None:

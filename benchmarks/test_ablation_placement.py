@@ -8,8 +8,7 @@ co-located configuration puts the gateways and middle-box on the
 tenant VM's host, so the spliced path never crosses the fabric.
 """
 
-from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, memo, run
-from repro.analysis import format_table
+from harness import LEGACY, VOLUME_SIZE, build_testbed, fio, format_table, memo, run
 from repro.core.policy import ServiceSpec
 
 IO_SIZE = 16 * 1024

@@ -9,8 +9,7 @@ working set runs in the guest page cache, so operations are CPU-bound
 — reproduced with the filesystem's ``page_cache`` mode.
 """
 
-from harness import LEGACY, MB_ACTIVE, build_testbed, memo, run
-from repro.analysis import format_table, normalize
+from harness import LEGACY, MB_ACTIVE, build_testbed, format_table, memo, normalize, run
 from repro.fs import ExtFilesystem, GeneratorDevice, SessionDevice
 from repro.fs.layout import BLOCK_SIZE
 from repro.services import TenantSideEncryption

@@ -7,8 +7,7 @@ Shape asserted here: MB-FWD always loses; the gap widens with I/O
 size; the 256 KB ratio lands in the paper's ballpark.
 """
 
-from harness import IO_SIZES, routing_sweep
-from repro.analysis import format_table, normalize
+from harness import IO_SIZES, format_table, normalize, routing_sweep
 
 PAPER_RATIOS = {4096: 0.93, 16384: 0.86, 65536: 0.83, 262144: 0.82}
 

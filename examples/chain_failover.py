@@ -66,6 +66,7 @@ def main(argv=None):
     cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
 
     bus = ObsBus(sim)
+    bus.collect()  # keep the records: the hop table below reads them
     log = make_event_log(bus)  # fault timeline rides the trace bus
     storm = StorM(sim, cloud, event_log=log)
     install_default_services(storm)

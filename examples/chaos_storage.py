@@ -8,12 +8,11 @@ reboots mid-workload.  Reliable transport, iSCSI session re-login,
 the active relay's NVM replay, and the replication service's
 journal-driven rejoin absorb every fault — no acknowledged write is
 lost, the replica converges byte-identical (ciphertext!), and the
-whole recovery timeline is printed from ``repro.analysis``.
+whole recovery timeline is printed from the ``repro.obs`` event log.
 
 Run:  python examples/chaos_storage.py
 """
 
-from repro.analysis import EventLog
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController
 from repro.cloud.params import CloudParams
@@ -21,6 +20,7 @@ from repro.core import StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
 from repro.fs import ExtFilesystem
+from repro.obs import EventLog
 from repro.services import install_default_services
 from repro.sim import Simulator
 from repro.workloads import FioConfig, FioJob
@@ -131,7 +131,7 @@ def main():
         f"replica ejections={rep_mb.service.ejections} rejoins={replica.rejoins}"
     )
     print()
-    print("-- recovery timeline (repro.analysis) --")
+    print("-- recovery timeline (repro.obs) --")
     print(log.format())
 
     # -- invariants --------------------------------------------------------

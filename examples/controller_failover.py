@@ -69,6 +69,8 @@ def main(argv=None):
     cloud.create_volume(tenant, "data-vol", VOLUME_SIZE)
 
     bus = ObsBus(sim)
+    if args.trace or args.chrome:
+        bus.collect()  # keep the records the exports write
     log = make_event_log(bus)  # failover timeline rides the trace bus
     storm = StorM(sim, cloud, event_log=log, ha=True)
     install_default_services(storm)

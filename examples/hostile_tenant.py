@@ -70,6 +70,8 @@ def main():
     storm = StorM(sim, cloud)
     install_default_services(storm)
     bus = ObsBus(sim)
+    if args.trace or args.chrome:
+        bus.collect()  # keep the records the exports write
     log = make_event_log(bus)  # the attack timeline rides the trace bus
     injector = FaultInjector(sim, seed=42, log=log)
     instrument(bus, storm=storm)
@@ -162,7 +164,7 @@ def main():
         f"monitor_garbage={mon.service.garbage_accesses}"
     )
     print()
-    print("-- attack & recovery timeline (repro.analysis) --")
+    print("-- attack & recovery timeline (repro.obs) --")
     print(log.format())
 
     # -- invariants: exactness ---------------------------------------------

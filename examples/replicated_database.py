@@ -9,10 +9,10 @@ replica and the database keeps serving transactions.
 Run:  python examples/replicated_database.py
 """
 
-from repro.analysis import Timeline
 from repro.cloud import CloudController
 from repro.core import StorM
 from repro.core.policy import ServiceSpec
+from repro.obs import Timeline
 from repro.services import install_default_services
 from repro.sim import Simulator
 from repro.workloads import MySqlServer, OltpClient, OltpConfig

@@ -14,7 +14,8 @@ Layering (bottom to top):
 - :mod:`repro.core` — StorM itself (splicing, steering, relays,
   semantics reconstruction, policies, platform).
 - :mod:`repro.services` — the three case-study middle-box services.
-- :mod:`repro.workloads` / :mod:`repro.analysis` — evaluation drivers.
+- :mod:`repro.workloads` — evaluation drivers; :mod:`repro.obs` —
+  tracing, metrics and latency statistics.
 """
 
 __version__ = "1.0.0"

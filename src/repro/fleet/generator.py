@@ -9,7 +9,7 @@ from typing import Optional
 from repro.fleet.arrivals import SessionPlan, build_plan
 from repro.fleet.config import FleetConfig
 from repro.fleet.domain import FleetDomain
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.sim import ShardedKernel
 from repro.sim.rng import SeededRNG
 
@@ -32,11 +32,11 @@ class FleetRun:
         config.validate()
         self.config = config
         self.kernel = ShardedKernel(config.shards)
-        #: shared passive registry (keep_samples: the benchmarks read
-        #: attach-latency percentiles out of it)
-        self.metrics = MetricsRegistry(keep_samples=True)
+        #: shared passive registry (streaming counters and histograms)
+        self.metrics = MetricsRegistry()
         #: session records appended in merged event order — the
-        #: deterministic byte stream the benchmarks digest
+        #: deterministic byte stream the benchmarks digest, and the
+        #: attach latencies the reported percentiles are read from
         self.trace: list[dict] = []
         self.plan: list[SessionPlan] = build_plan(
             config, SeededRNG(config.seed, name="fleet")
@@ -91,15 +91,15 @@ class FleetRun:
         return hashlib.blake2s(self.trace_jsonl().encode("utf-8")).hexdigest()
 
     def report(self) -> dict:
-        latency = self.metrics.histogram("fleet.attach.latency")
+        latencies = [record["lat"] for record in self.trace]
         return {
             "sessions": self.completed,
             "tenants": self.config.tenants,
             "shards": self.config.shards,
             "events": self.kernel.events,
             "sim_elapsed": round(self.kernel.now, 9),
-            "attach_p50": round(latency.percentile(50), 9),
-            "attach_p99": round(latency.percentile(99), 9),
+            "attach_p50": round(percentile(latencies, 50), 9),
+            "attach_p99": round(percentile(latencies, 99), 9),
             "peak_concurrent": self.peak_concurrent,
             "io_ops": self.metrics.counter("fleet.io.ops").value,
             "trace_digest": self.trace_digest(),

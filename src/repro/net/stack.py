@@ -120,8 +120,9 @@ class NetworkStack:
         #: flows demote.  Both stay None when express mode is off.
         self._xfwd = None
         self._x_on_change: Optional[Callable[[], None]] = None
-        #: Obs bus (wired by ``repro.obs.instrument``) — lets the TCP
-        #: hot path gate per-packet context copies on ``bus.enabled``.
+        #: Obs bus (wired by ``repro.obs.instrument``) — the TCP hot
+        #: path copies trace contexts onto packets only while
+        #: ``bus.enabled`` (the bus has a sink).
         self.obs_bus = None
 
     # -- configuration -------------------------------------------------

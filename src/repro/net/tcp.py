@@ -564,9 +564,9 @@ class TcpSocket:
         # Trace-context propagation: a message object (e.g. an iSCSI
         # PDU) stamped with a context spreads it to every packet that
         # carries a piece of it, joining per-hop telemetry to the
-        # request's span tree.  Contexts are only ever stamped while a
-        # bus is collecting, so the copy is gated on ``bus.enabled`` to
-        # keep obs-off runs free of per-packet attribute lookups.
+        # request's span tree.  Packets carry contexts only while the
+        # bus has a sink (``bus.enabled``): a sinkless bus builds no
+        # hop records, so the per-packet attribute lookup is skipped.
         message = segment.message
         if message is not None:
             bus = self.stack.obs_bus

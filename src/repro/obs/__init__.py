@@ -9,7 +9,12 @@ span model and context-propagation story; the short version:
   :class:`TraceContext` stamped on in-flight objects (packets, PDUs)
   so downstream layers join the same trace;
 - metrics live in ``bus.metrics`` keyed by ``(kind, name, scope)``;
-- sinks receive every record; exports are deterministic bytes.
+  histograms are streaming (count / sum / min / max);
+- sinks receive every record; a bus has none until one is added, and
+  ``bus.collect()`` adds the collector the exports read (deterministic
+  bytes);
+- :func:`percentile`, :class:`LatencyStats` and :class:`Timeline` are
+  the evaluation harness's latency and throughput statistics.
 
 With no bus attached every instrumented component's ``obs`` hook is
 ``None`` and the simulation is bit-identical to an uninstrumented one.
@@ -19,7 +24,15 @@ from repro.obs.bus import ObsBus, Span
 from repro.obs.context import TraceContext
 from repro.obs.eventlog import EventLog, EventRecord, make_event_log
 from repro.obs.instrument import instrument
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    LatencyStats,
+    MetricsRegistry,
+    Timeline,
+    percentile,
+)
 from repro.obs.sinks import (
     CollectorSink,
     JsonlSink,
@@ -48,7 +61,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LatencyStats",
     "MetricsRegistry",
+    "Timeline",
+    "percentile",
     "CollectorSink",
     "JsonlSink",
     "RingSink",

@@ -8,6 +8,12 @@ so attaching a bus cannot perturb the event stream, and a run with the
 bus detached (every component's ``obs`` hook left ``None``) is
 bit-identical to one that never imported this module.
 
+The bus keeps no records itself: it fans each one out to its sinks.
+A bus with no sink (the default) still counts spans and keeps its
+metrics registry, but builds no span/event records, so its memory
+stays bounded.  :meth:`ObsBus.collect` adds the in-memory collector
+that :attr:`ObsBus.records` and the exports read.
+
 Determinism contract:
 
 - span/trace ids come from plain ``itertools`` counters private to the
@@ -82,22 +88,18 @@ class Span:
 
 
 class ObsBus:
-    """Per-simulator trace/metrics bus with pluggable sinks."""
+    """Per-simulator trace/metrics bus: a fan-out to its sinks."""
 
-    def __init__(
-        self, sim: "Simulator", enabled: bool = True, keep_samples: bool = False
-    ):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.enabled = enabled
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._seq = itertools.count(1)
-        #: keep_samples: histograms retain raw samples for percentile
-        #: reads (benchmark harnesses); default stays streaming-only
-        self.metrics = MetricsRegistry(keep_samples=keep_samples)
-        #: default store every record lands in; exports read from it
-        self.collector = CollectorSink()
-        self.sinks: list[Sink] = [self.collector]
+        self.metrics = MetricsRegistry()
+        #: fan-out targets; none by default, so a bus nobody collects
+        #: from builds no records and retains nothing
+        self.sinks: list[Sink] = []
+        self._collector: Optional[CollectorSink] = None
         self.spans_started = 0
         self.events_emitted = 0
 
@@ -114,8 +116,25 @@ class ObsBus:
         return sink
 
     @property
+    def enabled(self) -> bool:
+        """True while the bus has a sink.  Every emission site (and the
+        TCP per-packet context copy) checks this first, so a sinkless
+        bus still counts spans and keeps metrics but builds no records."""
+        return bool(self.sinks)
+
+    def collect(self) -> CollectorSink:
+        """Keep every record in memory, for :attr:`records` and the
+        exports.  Idempotent: the first call adds one
+        :class:`CollectorSink`; later calls return the same one."""
+        if self._collector is None:
+            self._collector = CollectorSink()
+            self.add_sink(self._collector)
+        return self._collector
+
+    @property
     def records(self) -> list[dict]:
-        return self.collector.records
+        """Records collected so far; ``[]`` when nothing collects."""
+        return self._collector.records if self._collector is not None else []
 
     def release_scope(self, scope: str) -> int:
         """Evict every metric attributed to ``scope`` (a detached
@@ -192,9 +211,17 @@ class ObsBus:
 
     # -- exports ------------------------------------------------------
 
+    def _collected(self) -> list[dict]:
+        if self._collector is None:
+            raise RuntimeError(
+                "ObsBus has no collector: call bus.collect() before the run "
+                "to export its records"
+            )
+        return self._collector.records
+
     def export_records(self) -> list[dict]:
         """All collected records plus the metrics snapshot."""
-        return list(self.collector.records) + self.metrics.snapshot()
+        return list(self._collected()) + self.metrics.snapshot()
 
     def export_jsonl(self, path: Optional[str] = None) -> str:
         """Serialize the stream as JSON Lines (deterministic bytes).
@@ -207,7 +234,7 @@ class ObsBus:
 
     def export_chrome(self, path: Optional[str] = None) -> dict:
         """Serialize spans/events as a chrome://tracing JSON object."""
-        trace = to_chrome_trace(self.collector.records)
+        trace = to_chrome_trace(self._collected())
         if path is not None:
             import json
 

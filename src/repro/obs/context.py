@@ -10,9 +10,10 @@ switch decision, relay stage, and target execution then attaches its
 emission to the same trace.
 
 The token is three words (bus, trace id, span id) and its propagation
-costs one attribute copy per packet — with instrumentation off the
+costs one attribute copy per packet.  With instrumentation off the
 fields stay ``None`` and every emission site is a single identity
-check.
+check; on a bus with no sink, TCP stamps no packet contexts and
+:meth:`TraceContext.hop` returns before building a record.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class TraceContext:
         """Record this packet traversing ``node_name`` — the per-hop
         timestamps the latency-breakdown tables are built from."""
         if not self.bus.enabled:
-            return  # skip the kwargs packing on collection-off buses
+            return  # no sink: skip the kwargs packing
         self.bus.event("net.hop", target=node_name, trace_id=self.trace_id,
                        span_id=self.span_id, bytes=packet.size)
 

@@ -36,8 +36,8 @@ def _wire_node(bus: "ObsBus", node: Any, seen: set) -> int:
     links = 0
     stack = getattr(node, "stack", None)
     if stack is not None:
-        # Gives the TCP hot path a cheap bus.enabled gate for its
-        # per-packet trace-context copies.
+        # Lets the TCP hot path skip its per-packet trace-context
+        # copies while the bus has no sink (bus.enabled).
         stack.obs_bus = bus
         stack.nat.obs = bus
         stack.nat.scope = node.name

@@ -1,4 +1,5 @@
-"""Counters, gauges, and histograms in a scoped registry.
+"""Counters, gauges, and histograms in a scoped registry, plus the
+latency statistics the evaluation harness reads.
 
 Metrics are keyed by ``(kind, name, scope)``: ``scope`` is the tenant
 name for tenant-attributed metrics (service byte counts, relay journal
@@ -9,11 +10,88 @@ guard without perturbing determinism.
 
 ``snapshot()`` renders the registry as schema records sorted by key,
 so two identical runs export byte-identical metric sections.
+
+Registry histograms are streaming-only (count / sum / min / max, O(1)
+memory).  A caller that needs percentiles keeps its own sample list —
+:class:`LatencyStats`, or the fleet's session trace — and reads them
+with the one shared nearest-rank :func:`percentile`.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import math
+from typing import Iterable, Union
+
+
+def percentile(values: Iterable[float], p: float) -> float:
+    """Nearest-rank percentile; ``p`` in [0, 100].
+
+    The rank is ``ceil(p * n / 100)``: dividing last keeps it exact
+    whenever ``p * n`` is a multiple of 100 (``ceil(p / 100 * n)``
+    overshoots when ``p / 100`` rounds up, e.g. p=7, n=100 gave rank 8).
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("percentile of empty list")
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    rank = max(1, math.ceil(p * len(ordered) / 100))
+    return ordered[rank - 1]
+
+
+class LatencyStats:
+    """Accumulates per-operation latencies."""
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+
+    def add(self, latency: float) -> None:
+        self.samples.append(latency)
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    @property
+    def mean(self) -> float:
+        if not self.samples:
+            return 0.0
+        return sum(self.samples) / len(self.samples)
+
+    def p(self, q: float) -> float:
+        return percentile(self.samples, q)
+
+
+class Timeline:
+    """Per-second event counts (the Fig. 13 TPS plot)."""
+
+    def __init__(self, bucket_seconds: float = 1.0) -> None:
+        self.bucket_seconds = bucket_seconds
+        self._buckets: dict[int, int] = {}
+
+    def add(self, when: float, count: int = 1) -> None:
+        bucket = int(when / self.bucket_seconds)
+        self._buckets[bucket] = self._buckets.get(bucket, 0) + count
+
+    def series(self) -> list[tuple[float, float]]:
+        """[(bucket start time, rate per second)] over the covered range."""
+        if not self._buckets:
+            return []
+        first, last = min(self._buckets), max(self._buckets)
+        return [
+            (b * self.bucket_seconds, self._buckets.get(b, 0) / self.bucket_seconds)
+            for b in range(first, last + 1)
+        ]
+
+    def mean_rate(self, start: float, end: float) -> float:
+        """Average events/second over [start, end)."""
+        if end <= start:
+            raise ValueError("end must be after start")
+        total = sum(
+            count
+            for bucket, count in self._buckets.items()
+            if start <= bucket * self.bucket_seconds < end
+        )
+        return total / (end - start)
 
 
 class Counter:
@@ -53,22 +131,18 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming summary: count / sum / min / max of observed values.
+    """Streaming summary: count / sum / min / max of observed values,
+    in O(1) memory — no sample is retained."""
 
-    With ``keep_samples`` (opt-in, for benchmark harnesses that need
-    percentiles) every observed value is also retained, at O(n) memory
-    — the default streaming mode stays O(1)."""
+    __slots__ = ("name", "scope", "count", "total", "min", "max")
 
-    __slots__ = ("name", "scope", "count", "total", "min", "max", "samples")
-
-    def __init__(self, name: str, scope: str, keep_samples: bool = False):
+    def __init__(self, name: str, scope: str):
         self.name = name
         self.scope = scope
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.samples: Union[list, None] = [] if keep_samples else None
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -77,21 +151,10 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.samples is not None:
-            self.samples.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over retained samples (0 when the
-        histogram is empty or was created without ``keep_samples``)."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, int(p / 100.0 * len(ordered))))
-        return ordered[rank]
 
     def record(self) -> dict:
         return {
@@ -109,14 +172,10 @@ Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Lazy-created metrics, one instance per (kind, name, scope).
+    """Lazy-created metrics, one instance per (kind, name, scope)."""
 
-    ``keep_samples`` makes every histogram retain raw samples so
-    benchmark harnesses can read percentiles; off by default."""
-
-    def __init__(self, keep_samples: bool = False):
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, str, str], Metric] = {}
-        self.keep_samples = keep_samples
 
     def counter(self, name: str, scope: str = "") -> Counter:
         key = ("counter", name, scope)
@@ -136,9 +195,7 @@ class MetricsRegistry:
         key = ("histogram", name, scope)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = Histogram(
-                name, scope, keep_samples=self.keep_samples
-            )
+            metric = self._metrics[key] = Histogram(name, scope)
         return metric  # type: ignore[return-value]
 
     def scoped(self, scope: str) -> list[Metric]:

@@ -2,10 +2,10 @@
 
 Every record the bus emits is a plain dict (see
 :mod:`repro.obs.bus` for the schema); a sink is anything with an
-``emit(record)`` method.  Three are provided:
+``emit(record)`` method.  A bus starts with none; three are provided:
 
-- :class:`CollectorSink` — unbounded in-memory list (the bus default;
-  exports read from it);
+- :class:`CollectorSink` — unbounded in-memory list, added by
+  ``ObsBus.collect()``; ``ObsBus.records`` and the exports read it;
 - :class:`RingSink` — bounded ring for long chaos runs where only the
   recent window matters;
 - :class:`JsonlSink` — streams each record to an open file as one JSON

@@ -56,7 +56,7 @@ class ReplicationService(StorageService):
         self._write_seq = 0
         self.resyncs = 0
         self.ejections = 0
-        #: optional :class:`repro.analysis.EventLog` for recovery timelines
+        #: optional :class:`repro.obs.EventLog` for recovery timelines
         self.event_log = None
 
     def _log(self, kind: str, target: str, **detail) -> None:

@@ -12,8 +12,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.metrics import LatencyStats
 from repro.fs.layout import BLOCK_SIZE
+from repro.obs.metrics import LatencyStats
 from repro.sim import SeededRNG, Simulator
 
 

@@ -13,9 +13,9 @@ fails would pass equivalence vacuously).
 
 import pytest
 
-from repro.analysis import Timeline
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.fs import ExtFilesystem, SessionDevice
+from repro.obs import Timeline
 from repro.workloads import (
     MySqlServer,
     OltpClient,

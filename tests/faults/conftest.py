@@ -4,13 +4,13 @@ recovery knob on (reliable TCP, iSCSI session recovery) plus a seeded
 
 import pytest
 
-from repro.analysis import EventLog
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.cloud import CloudController
 from repro.cloud.params import CloudParams
 from repro.core import StorM
 from repro.core.policy import ServiceSpec
 from repro.faults import FaultInjector
+from repro.obs import EventLog
 from repro.services import install_default_services
 from repro.sim import Simulator
 

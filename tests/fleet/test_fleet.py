@@ -4,6 +4,7 @@ import pytest
 
 from repro.fleet import FleetConfig, FleetRun
 from repro.fleet.generator import FleetRunError, run_fleet
+from repro.obs import percentile
 
 
 def _config(**overrides):
@@ -52,6 +53,18 @@ def test_all_sessions_complete_and_trace_covers_them():
     assert report["io_ops"] == sum(p.ios for p in run.plan)
     # every planned session appears exactly once in the trace
     assert sorted(r["i"] for r in run.trace) == [p.index for p in run.plan]
+
+
+def test_attach_percentiles_are_nearest_rank_over_the_trace():
+    run = FleetRun(_config(sessions=300, churn_storms=0))
+    report = run.run()
+    latencies = [r["lat"] for r in run.trace]
+    assert report["attach_p50"] == round(percentile(latencies, 50), 9)
+    assert report["attach_p99"] == round(percentile(latencies, 99), 9)
+    # the streaming histogram saw the same sessions, without keeping them
+    hist = run.metrics.histogram("fleet.attach.latency")
+    assert hist.count == len(latencies)
+    assert hist.max == max(latencies)
 
 
 def test_detached_fleet_leaves_no_per_session_state():

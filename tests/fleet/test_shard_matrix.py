@@ -9,8 +9,8 @@ only interleaves queues, it never reorders anything a workload can
 observe.
 """
 
-from repro.analysis import Timeline
 from repro.blockdev.disk import BLOCK_SIZE
+from repro.obs import Timeline
 from repro.sim import ShardedKernel, Simulator
 from repro.fs import ExtFilesystem, SessionDevice
 from repro.workloads import (

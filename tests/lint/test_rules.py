@@ -351,7 +351,7 @@ def test_tracked_bytecode_skips_non_repo(tmp_path):
 def test_direct_eventlog_hits(lint):
     findings = lint(
         """
-        from repro.analysis import EventLog
+        from repro.obs import EventLog
         import repro.obs.eventlog as ev
 
         log = EventLog()

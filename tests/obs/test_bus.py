@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs import (
     CollectorSink,
     JsonlSink,
@@ -17,7 +19,9 @@ from repro.sim import Simulator
 
 
 def make_bus():
-    return ObsBus(Simulator())
+    bus = ObsBus(Simulator())
+    bus.collect()
+    return bus
 
 
 # ------------------------------------------------------------------ ids
@@ -59,6 +63,7 @@ def test_span_tree_parenting():
 def test_span_timestamps_come_from_sim_clock():
     sim = Simulator()
     bus = ObsBus(sim)
+    bus.collect()
 
     def proc():
         span = bus.span("slow")
@@ -110,11 +115,46 @@ def test_event_when_override_preserves_caller_timestamp():
 
 
 def test_disabled_bus_emits_nothing():
-    bus = ObsBus(Simulator(), enabled=False)
+    bus = ObsBus(Simulator())  # no sink: nothing collects
+    assert not bus.enabled
     span = bus.span("op")
     span.finish()
     bus.event("kind")
+    span.context().hop("sw1", packet=None)  # returns before reading the packet
     assert bus.records == []
+    assert bus.events_emitted == 0
+    assert bus.spans_started == 1
+
+
+def test_collect_is_idempotent_and_enables_the_bus():
+    bus = ObsBus(Simulator())
+    collector = bus.collect()
+    assert bus.enabled
+    assert bus.collect() is collector
+    assert bus.sinks == [collector]
+    bus.event("kind")
+    assert bus.records is collector.records
+    assert len(bus.records) == 1
+
+
+def test_any_sink_enables_the_bus():
+    bus = ObsBus(Simulator())
+    ring = bus.add_sink(RingSink(capacity=2))
+    assert bus.enabled
+    bus.event("kind")
+    assert len(ring) == 1
+    assert bus.records == []  # a ring is not the collector
+
+
+def test_export_without_collect_raises():
+    bus = ObsBus(Simulator())
+    bus.event("kind")
+    with pytest.raises(RuntimeError, match="collect"):
+        bus.export_jsonl()
+    with pytest.raises(RuntimeError, match="collect"):
+        bus.export_chrome()
+    with pytest.raises(RuntimeError, match="collect"):
+        bus.export_records()
 
 
 # -------------------------------------------------------------- metrics
@@ -175,7 +215,7 @@ def test_every_sink_sees_every_record():
     span = bus.span("op")
     span.finish()
     bus.event("kind")
-    assert extra.records == bus.collector.records
+    assert extra.records == bus.records
 
 
 # -------------------------------------------------------------- exports

@@ -3,10 +3,8 @@ while (optionally) mirroring every record onto the observability bus."""
 
 from __future__ import annotations
 
-from repro.analysis import EventLog, EventRecord
-from repro.analysis.events import make_event_log
 from repro.faults import FaultInjector
-from repro.obs import ObsBus
+from repro.obs import EventLog, EventRecord, ObsBus, make_event_log
 from repro.sim import Simulator
 
 
@@ -28,6 +26,7 @@ def test_standalone_log_behaves_as_before():
 
 def test_bus_backed_log_forwards_with_caller_timestamp():
     bus = ObsBus(Simulator())
+    bus.collect()
     log = make_event_log(bus)
     log.record(3.5, "fault.link_down", "a<->b", duration=0.2)
     # local list keeps working...
@@ -52,6 +51,7 @@ def test_fault_injector_exposes_events_facade():
 def test_fault_injector_accepts_bus_backed_log():
     sim = Simulator()
     bus = ObsBus(sim)
+    bus.collect()
     injector = FaultInjector(sim, seed=7, log=make_event_log(bus))
     injector.log.record(0.0, "fault.crash", "mb1")
     assert bus.records and bus.records[0]["kind"] == "fault.crash"

@@ -1,8 +1,10 @@
-"""Metrics and reporting helpers."""
+"""Latency statistics, streaming histograms, and the benchmark
+suite's table helpers."""
 
 import pytest
 
-from repro.analysis import LatencyStats, Timeline, format_table, normalize, percentile
+from benchmarks.harness import format_table, normalize
+from repro.obs import Histogram, LatencyStats, Timeline, percentile
 
 
 def test_percentile_nearest_rank():
@@ -10,6 +12,10 @@ def test_percentile_nearest_rank():
     assert percentile(values, 50) == 3.0
     assert percentile(values, 100) == 5.0
     assert percentile(values, 1) == 1.0
+    # rank is ceil(p * n / 100): p / 100 rounding up must not push it
+    # one past an exact rank
+    assert percentile(range(1, 101), 7) == 7
+    assert percentile(range(1, 1001), 99.9) == 999
 
 
 def test_percentile_validation():
@@ -30,6 +36,15 @@ def test_latency_stats():
 
 def test_latency_stats_empty_mean():
     assert LatencyStats().mean == 0.0
+
+
+def test_histogram_keeps_only_streaming_summary():
+    hist = Histogram("lat", "")
+    for v in (0.3, 0.1, 0.2):
+        hist.observe(v)
+    assert (hist.count, hist.min, hist.max) == (3, 0.1, 0.3)
+    assert hist.mean == pytest.approx(0.2)
+    assert not hasattr(hist, "samples")
 
 
 def test_timeline_series_and_rate():

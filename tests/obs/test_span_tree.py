@@ -27,6 +27,7 @@ from repro.obs import (
 def traced_write():
     bed = build_testbed(MB_ACTIVE)
     bus = ObsBus(bed.sim)
+    bus.collect()
     stats = instrument(bus, storm=bed.storm)
 
     def one_write():

@@ -15,6 +15,7 @@ from repro.obs import ObsBus, instrument, validate_lines
 def traced_fio_export() -> str:
     bed = build_testbed(MB_ACTIVE)
     bus = ObsBus(bed.sim)
+    bus.collect()
     instrument(bus, storm=bed.storm)
     fio(bed, 4096, threads=1, ios_per_thread=10)
     return bus.export_jsonl()
