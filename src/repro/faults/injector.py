@@ -31,7 +31,8 @@ from repro.sim.rng import SeededRNG
 
 
 class LinkFaults:
-    """Per-link fault state consulted by ``Link._pump`` per packet.
+    """Per-link fault state, consulted once per packet when the packet
+    starts serializing (``Link._serialize``).
 
     :meth:`judge` returns a non-negative extra delay to deliver the
     packet, or a negative value to drop it.  Corruption is modeled as

@@ -106,6 +106,7 @@ _ENTROPY_DOTTED: frozenset[str] = frozenset(
 _KERNEL_METHODS: frozenset[str] = frozenset(
     {
         "schedule_abs",
+        "call_at",
         "_schedule",
         "timeout",
         "process",

@@ -7,23 +7,25 @@ flow is pure mechanical replay: every segment traverses the same
 elements, pays the same serialization/latency arithmetic, and hits the
 same cached decisions.  The express path promotes such a flow to a
 *compiled conduit* and replays the arithmetic directly — one scheduled
-event per FIFO element instead of the whole store/process/timeout
-machinery — while producing **bit-identical timing**.
+event per FIFO element, skipping the per-hop receive, routing, NAT and
+flow-table work of packet mode — while producing **bit-identical
+timing**.
 
 Exactness argument (DESIGN.md §12 has the long form):
 
 - Every FIFO element (a link direction, a stack's software-forward
-  queue) carries an :class:`_ElemState` with a ``busy`` horizon.  Real
-  packets *commit* their serialization slot at true arrival time
-  (``Link.transmit`` / ``NetworkStack.handle_receive``); the pump pops
-  the committed start and aligns to it.  Express segments commit at the
-  same point in virtual time via a scheduled :class:`_WalkEvent`.
-  Because both kinds commit in arrival order, FIFO interleaving of
-  express and packet-mode traffic is exact.
-- The per-element arithmetic is float-op-for-float-op the same as the
-  pump's (``size / bandwidth + overhead``, then ``+ latency``), and the
-  chained event times are pushed as *absolute* times
-  (:meth:`Simulator.schedule_abs`), so no extra rounding is introduced.
+  path) is a :class:`repro.net.link.Fifo` with one ``busy`` horizon.
+  Packet mode commits a packet's slot when the packet reaches the
+  element (``Link.transmit`` / ``NetworkStack.handle_receive``);
+  express segments commit at the same point in virtual time via a
+  scheduled hop.  Because both kinds commit in arrival order through
+  the same ``busy``, FIFO interleaving of express and packet-mode
+  traffic is exact.
+- Both modes compute a slot with the same function,
+  :meth:`Fifo.occupy` (``start = max(now, busy)``, ``depart = start +
+  size / bandwidth + overhead``, then ``+ latency``), and both push
+  the chained event times as *absolute* times
+  (:meth:`Simulator.call_at`), so the floats agree by construction.
 - Promotion is guarded by a read-only probe that walks the flow's
   headers hop-by-hop through the real tables; anything it cannot
   replay exactly (packet taps, forward hooks, flood, non-inert faults,
@@ -31,8 +33,8 @@ Exactness argument (DESIGN.md §12 has the long form):
 - Demotion is mandatory and lossless: any flow-table or NAT install /
   removal on a probed table, a route change on a probed stack, or any
   fault-injector action demotes every flow back to packet mode; the
-  next segments take the packet path and the commitment discipline
-  keeps their timing seamless.
+  next segments take the packet path and the shared ``busy`` horizons
+  keep their timing seamless.
 
 Side effects that packet mode applies per hop (interface counters,
 ``packets_switched``, rule hit counts, ``packet.trace``, per-hop obs
@@ -43,10 +45,9 @@ contents, same causal span tree; only the intermediate timestamps of
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Optional
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.net.packet import HEADER_BYTES, Packet
 from repro.net.stack import BROADCAST_MAC
 from repro.net.switch import Drop, ModDstMac, Normal, Output, Switch, ToController
@@ -59,22 +60,6 @@ RETRY_EVERY = 16
 MAX_HOPS = 48
 
 _MISS = object()
-
-
-class _ElemState:
-    """Wire-occupancy horizon of one FIFO element.
-
-    ``busy`` is the absolute time the element finishes its last
-    committed slot; ``pending`` holds the committed start times of
-    *real* (packet-mode) packets currently queued, popped 1:1 by the
-    element's pump for alignment.
-    """
-
-    __slots__ = ("busy", "pending")
-
-    def __init__(self) -> None:
-        self.busy: float = 0.0
-        self.pending: deque[float] = deque()
 
 
 class CompiledPath:
@@ -128,39 +113,11 @@ class _Plan:
         self.steers: list[tuple] = []
 
 
-class _WalkEvent(Event):
-    """One express step: fires at the commit time of element ``i`` of
-    ``path`` (or at delivery when ``i < 0``).  Allocation-light: the
-    event is its own callback."""
-
-    __slots__ = ("mgr", "path", "packet", "i", "t")
-
-    def __init__(
-        self, mgr: "ExpressManager", path: CompiledPath, packet: Packet, i: int, t: float
-    ) -> None:
-        # Deliberately no super().__init__: the kernel's step() only
-        # touches ``callbacks`` and ``_processed``.
-        self.sim = mgr.sim
-        self.callbacks = [self]  # type: ignore[list-item]
-        self._processed = False
-        self.mgr = mgr
-        self.path = path
-        self.packet = packet
-        self.i = i
-        self.t = t
-
-    def __call__(self, _event: Event) -> None:
-        if self.i < 0:
-            self.mgr._deliver(self.path, self.packet)
-        else:
-            self.mgr._hop(self.path, self.packet, self.i, self.t)
-
-
 class ExpressManager:
     """Owns promotion, the compiled walks, and demotion for one sim.
 
-    Install **before** building the topology (links snapshot
-    ``sim.express`` at construction to create their element states):
+    Install **before** building the cloud controller (it wires the
+    SDN controller's demotion hook at construction):
     ``ExpressManager(sim)`` registers itself as ``sim.express``.
     """
 
@@ -180,12 +137,6 @@ class ExpressManager:
         self.demotions = 0
         self.probes_failed = 0
         sim.express = self
-
-    # -- element states ------------------------------------------------
-
-    def elem_state(self) -> _ElemState:
-        """Factory used by Link/NetworkStack so they need no import."""
-        return _ElemState()
 
     # -- promotion -----------------------------------------------------
 
@@ -233,7 +184,7 @@ class ExpressManager:
 
     def demote_all(self, reason: str = "") -> None:
         """Mandatory lossless fallback: flows revert to packet mode;
-        the commitment discipline keeps subsequent timing exact."""
+        the shared ``busy`` horizons keep subsequent timing exact."""
         for socket in list(self._active):
             self.demote(socket, reason)
 
@@ -255,24 +206,22 @@ class ExpressManager:
         self._hop(socket._xpath, packet, 0, self.sim.now)
 
     def _hop(self, path: CompiledPath, packet: Packet, i: int, t: float) -> None:
-        _pre, st, bw, oh, lat = path.steps[i]
-        busy = st.busy
-        start = busy if busy > t else t
-        if bw:
-            dep = start + (packet.size / bw + oh)
-            out = dep + lat
-        else:
-            dep = start + oh
-            out = dep
-        st.busy = dep
-        i += 1
+        """Commit element ``i``'s slot at time ``t`` through the same
+        :meth:`Fifo.occupy` packet mode uses, then schedule the next
+        element's commit (or the delivery) at its absolute time."""
         steps = path.steps
-        if i < len(steps):
-            for d in steps[i][0]:
-                out = out + d
+        _pre, fifo, bw, oh, lat = steps[i]
+        if bw:
+            out = fifo.occupy(t, packet.size / bw + oh)[1] + lat
         else:
-            i = -1
-        self.sim.schedule_abs(out, _WalkEvent(self, path, packet, i, out))
+            out = fifo.occupy(t, oh)[1]
+        i += 1
+        if i == len(steps):
+            self.sim.call_at(out, self._deliver, path, packet)
+            return
+        for d in steps[i][0]:
+            out = out + d
+        self.sim.call_at(out, self._hop, path, packet, i, out)
 
     def _deliver(self, path: CompiledPath, packet: Packet) -> None:
         """Arrival at the destination stack: apply the bulk side-effect
@@ -387,10 +336,10 @@ class ExpressManager:
                 return CompiledPath(tuple(steps), final, stack, key, plan)
             if not stack.ip_forward or stack.forward_hook is not None:
                 return None
-            st = stack._xfwd
-            if st is None or stack._forward_queue is None:
+            fifo = stack.forward_fifo
+            if fifo is None or stack._hooked:
                 return None
-            steps.append((tuple(pre), st, 0.0, stack.forward_delay, 0.0))
+            steps.append((tuple(pre), fifo, 0.0, stack.forward_delay, 0.0))
             del pre[:]
             # loop: route_and_send again from the forwarding stack
 
@@ -417,11 +366,8 @@ class ExpressManager:
                 elif faults.drop_prob or faults.corrupt_prob or faults.delay_prob:
                     return None
                 plan.faults.append(faults)
-            xstates = link._xstates
-            if xstates is None:
-                return None
-            st = xstates.get(iface)
-            if st is None:
+            fifo = link.fifos.get(iface)
+            if fifo is None:
                 return None
             plan.tx.append(iface)
             if link.obs is not None:
@@ -431,7 +377,7 @@ class ExpressManager:
                     (metrics.counter("link.tx_bytes", link.obs_name), True)
                 )
             steps.append(
-                (tuple(pre), st, link.bandwidth, link.per_packet_overhead, link.latency)
+                (tuple(pre), fifo, link.bandwidth, link.per_packet_overhead, link.latency)
             )
             del pre[:]
             other = link.other_end(iface)

@@ -1,18 +1,27 @@
-"""Interfaces and point-to-point links.
+"""Interfaces, point-to-point links, and the FIFO wire model.
 
 A :class:`Link` joins two :class:`Interface` objects.  Each direction
-serializes packets (``size / bandwidth``), then delays them by the
-propagation/processing latency, then delivers to the far interface's
+is one :class:`Fifo` element: a packet occupies the wire from
+``start = max(now, busy)`` for ``size / bandwidth + overhead``, then
+propagates for ``latency`` and is delivered to the far interface's
 owner.  ``per_packet_overhead`` models fixed per-frame cost — for VM
 virtual interfaces this is the single-threaded virtio copy path the
 paper identifies as the dominant intra-host cost.
+
+Timing is analytic: ``transmit`` computes the slot and schedules one
+kernel event per packet — the delivery — or, when the packet has to
+queue behind earlier ones, one event at its serialization start, which
+then schedules the delivery.  Fault judgment (``link.faults``) and the
+per-packet obs counters happen at serialization start, in wire order,
+so fault state installed while packets wait applies to them, and a
+packet already serializing when the link goes down is still delivered.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:
@@ -20,6 +29,30 @@ if TYPE_CHECKING:
 
 #: 1 GbE in bytes/second, the paper's testbed NICs.
 GIGABIT_BPS = 125_000_000
+
+
+class Fifo:
+    """One FIFO element's busy horizon (a link direction, a stack's
+    software-forward path).
+
+    :meth:`occupy` is the single definition of the element's timing,
+    shared by packet mode and the express path
+    (:mod:`repro.net.express`), so both produce the same floats.
+    """
+
+    __slots__ = ("busy",)
+
+    def __init__(self) -> None:
+        #: absolute time the element finishes its last committed slot
+        self.busy = 0.0
+
+    def occupy(self, now: float, service: float) -> tuple[float, float]:
+        """Commit a ``service``-long slot for work arriving at ``now``;
+        returns its ``(start, depart)`` times."""
+        busy = self.busy
+        start = busy if busy > now else now
+        depart = self.busy = start + service
+        return start, depart
 
 
 class Interface:
@@ -56,7 +89,7 @@ class Interface:
 
 
 class Link:
-    """Full-duplex link: independent serialization per direction."""
+    """Full-duplex link: an independent :class:`Fifo` per direction."""
 
     def __init__(
         self,
@@ -77,8 +110,8 @@ class Link:
         self.per_packet_overhead = per_packet_overhead
         #: installed by :class:`repro.faults.FaultInjector` — when
         #: non-None, every packet is judged (drop / corrupt / delay /
-        #: link-down) before delivery.  ``None`` keeps the fast path
-        #: branch-free beyond one identity check.
+        #: link-down) at its serialization start.  ``None`` keeps the
+        #: fast path branch-free beyond one identity check.
         self.faults = None
         #: observability bus hook (same zero-cost-off pattern): when
         #: non-None, per-packet transmit/drop counters are recorded.
@@ -86,83 +119,42 @@ class Link:
         self.obs_name = f"{a.name}<->{b.name}"
         a.link = self
         b.link = self
-        self._queues = {a: Store(sim), b: Store(sim)}
-        #: express-path commitment states, one per direction (see
-        #: :mod:`repro.net.express`); ``None`` when express mode is off,
-        #: keeping ``transmit``/``_pump`` branch-free beyond one check.
-        express = sim.express
-        self._xstates = (
-            {a: express.elem_state(), b: express.elem_state()}
-            if express is not None
-            else None
-        )
-        sim.process(self._pump(a, b), name=f"link:{a.name}->{b.name}")
-        sim.process(self._pump(b, a), name=f"link:{b.name}->{a.name}")
+        #: the wire of each direction, keyed by the sending interface
+        self.fifos = {a: Fifo(), b: Fifo()}
 
     def transmit(self, from_iface: Interface, packet: Packet) -> None:
-        if from_iface not in self._queues:
+        fifo = self.fifos.get(from_iface)
+        if fifo is None:
             raise ValueError("interface not on this link")
-        xstates = self._xstates
-        if xstates is not None:
-            # Commit this direction's wire occupancy at true arrival
-            # time so express flows sharing the link interleave exactly;
-            # the pump aligns to the committed start (same float ops as
-            # its own serialization arithmetic).
-            state = xstates[from_iface]
-            now = self.sim.now
-            busy = state.busy
-            start = busy if busy > now else now
-            state.busy = start + (
-                packet.size / self.bandwidth + self.per_packet_overhead
-            )
-            state.pending.append(start)
-        self._queues[from_iface].put(packet)
+        dst = self.other_end(from_iface)
+        now = self.sim.now
+        start, depart = fifo.occupy(
+            now, packet.size / self.bandwidth + self.per_packet_overhead
+        )
+        if start > now:
+            self.sim.call_at(start, self._serialize, packet, dst, depart)
+        else:
+            self._serialize(packet, dst, depart)
 
     def other_end(self, iface: Interface) -> Interface:
         return self.b if iface is self.a else self.a
 
-    def _pump(self, src: Interface, dst: Interface):
-        """Serialize queued packets one at a time, then deliver after latency."""
-        queue = self._queues[src]
-        deliver = dst.deliver
-        timeout = self.sim.timeout
-        xstate = None if self._xstates is None else self._xstates[src]
-        while True:
-            packet: Packet = yield queue.get()
-            if xstate is not None:
-                # Align to the start committed in transmit().  With no
-                # express claims interposed the committed start equals
-                # the pickup time exactly and this never fires; behind
-                # an express claim it waits out the claimed occupancy.
-                start = xstate.pending.popleft()
-                if start > self.sim.now:
-                    yield timeout(start - self.sim.now)
-            obs = self.obs
+    def _serialize(self, packet: Packet, dst: Interface, depart: float) -> None:
+        """Serialization start: count, judge, schedule the delivery.  A
+        dropped packet keeps its wire slot (the loss happens at the far
+        end of the pipe)."""
+        obs = self.obs
+        if obs is not None:
+            metrics = obs.metrics
+            metrics.counter("link.tx", self.obs_name).inc()
+            metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
+        faults = self.faults
+        if faults is None:
+            self.sim.call_at(depart + self.latency, dst.deliver, packet)
+            return
+        extra = faults.judge(packet)
+        if extra < 0.0:
             if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("link.tx", self.obs_name).inc()
-                metrics.counter("link.tx_bytes", self.obs_name).inc(packet.size)
-            faults = self.faults
-            if faults is not None:
-                extra = faults.judge(packet)
-                if extra < 0.0:
-                    if obs is not None:
-                        obs.metrics.counter("link.drop", self.obs_name).inc()
-                    # dropped — but the sender still pays the wire time
-                    # (the loss happens at the far end of the pipe)
-                    yield timeout(
-                        packet.size / self.bandwidth + self.per_packet_overhead
-                    )
-                    continue
-                yield timeout(packet.size / self.bandwidth + self.per_packet_overhead)
-                timeout(self.latency + extra).callbacks.append(
-                    lambda _event, packet=packet: deliver(packet)
-                )
-                continue
-            serialize = packet.size / self.bandwidth + self.per_packet_overhead
-            yield timeout(serialize)
-            # Propagation happens in parallel with the next serialization:
-            # one timeout callback per packet, no per-packet Process.
-            timeout(self.latency).callbacks.append(
-                lambda _event, packet=packet: deliver(packet)
-            )
+                obs.metrics.counter("link.drop", self.obs_name).inc()
+            return
+        self.sim.call_at(depart + (self.latency + extra), dst.deliver, packet)

@@ -14,8 +14,8 @@ import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim import Simulator
-from repro.net.link import Interface
+from repro.sim import Simulator, Store
+from repro.net.link import Fifo, Interface
 from repro.net.nat import NatTable
 from repro.net.packet import Packet
 
@@ -112,13 +112,19 @@ class NetworkStack:
         #: forwarded packet is re-routed.  This is the passive relay's
         #: netfilter-style attachment point: it can delay (kernel→user
         #: copies, service processing) and mutate the packet in place.
+        #: Hooked packets take a queue and a process (the hook blocks
+        #: on CPU); hook-less forwarding is analytic, like a link.
         self.forward_hook: Optional[Callable[[Packet], object]] = None
-        self._forward_queue = None
-        #: Express-path hooks (:mod:`repro.net.express`): commitment
-        #: state for the forward pump (created with the queue), and a
-        #: change notification fired when routes change so compiled
-        #: flows demote.  Both stay None when express mode is off.
-        self._xfwd = None
+        #: the software-forward path's busy horizon, created by the
+        #: first forwarded packet (the express probe requires it)
+        self.forward_fifo: Optional[Fifo] = None
+        self._forward_queue: Optional[Store] = None
+        #: packets queued for or inside the hook pipeline; while any
+        #: are, later arrivals queue too, so packets leave in order
+        self._hooked = 0
+        #: Express-path change notification (:mod:`repro.net.express`),
+        #: fired when routes change so compiled flows demote.  None
+        #: when express mode is off.
         self._x_on_change: Optional[Callable[[], None]] = None
         #: Obs bus (wired by ``repro.obs.instrument``) — the TCP hot
         #: path copies trace contexts onto packets only while
@@ -184,42 +190,39 @@ class NetworkStack:
             self._deliver_local(packet)
             return
         if self.ip_forward:
+            fifo = self.forward_fifo
+            if fifo is None:
+                fifo = self.forward_fifo = Fifo()
+            if self.forward_hook is None and not self._hooked:
+                _start, depart = fifo.occupy(self.sim.now, self.forward_delay)
+                self.sim.call_at(depart, self.route_and_send, packet)
+                return
             queue = self._forward_queue
             if queue is None:
-                from repro.sim import Store
-
                 queue = self._forward_queue = Store(self.sim)
-                express = self.sim.express
-                if express is not None:
-                    self._xfwd = express.elem_state()
                 self.sim.process(self._forward_pump(), name=f"fwd:{self.node.name}")
-            state = self._xfwd
-            if state is not None:
-                # Commit the forward pump's occupancy at arrival time
-                # (see Link.transmit for the discipline).
-                now = self.sim.now
-                busy = state.busy
-                start = busy if busy > now else now
-                state.busy = start + self.forward_delay
-                state.pending.append(start)
+            self._hooked += 1
             queue.put(packet)
             return
         self.dropped_packets += 1
 
     def _forward_pump(self):
-        """FIFO software-forwarding path (single kernel thread, like the
-        virtio/netfilter path the paper measures)."""
-        state = self._xfwd
+        """FIFO hooked forwarding path (single kernel thread, like the
+        netfilter path the paper measures).  A packet that arrives
+        while hook-less packets still occupy the forward path waits out
+        their committed slots first."""
+        fifo = self.forward_fifo
         while True:
             packet = yield self._forward_queue.get()
-            if state is not None:
-                start = state.pending.popleft()
-                if start > self.sim.now:
-                    yield self.sim.timeout(start - self.sim.now)
+            if fifo.busy > self.sim.now:
+                wake = self.sim.event()
+                self.sim.call_at(fifo.busy, wake.succeed)
+                yield wake
             if self.forward_delay:
                 yield self.sim.timeout(self.forward_delay)
             if self.forward_hook is not None:
                 yield from self.forward_hook(packet)
+            self._hooked -= 1
             self.route_and_send(packet)
 
     def send_ip(self, packet: Packet) -> None:

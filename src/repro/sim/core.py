@@ -110,6 +110,28 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
+class Call(Event):
+    """A pre-valued event that is its own callback: firing runs
+    ``fn(*args)``.  One allocation per scheduled action, used by
+    :meth:`Simulator.call_at` for analytically timed hops."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(
+        self, sim: "Simulator", fn: Callable[..., Any], args: tuple[Any, ...]
+    ) -> None:
+        self.sim = sim
+        self.callbacks = [self]  # type: ignore[list-item]
+        self._value = None
+        self.ok = True
+        self._processed = False
+        self.fn = fn
+        self.args = args
+
+    def __call__(self, _event: Event) -> None:
+        self.fn(*self.args)
+
+
 class _ConditionBase(Event):
     """Shared machinery for AllOf/AnyOf."""
 
@@ -301,16 +323,22 @@ class Simulator:
     def schedule_abs(self, when: float, event: Event) -> None:
         """Schedule an already-valued event at the absolute time ``when``.
 
-        Used by the express fast path, which computes future occurrence
-        times analytically: pushing the absolute time directly avoids
-        the ``now + (when - now)`` float round-trip that a relative
-        timeout would introduce.  ``when`` must not precede ``now``.
+        Used by links, forwarding stacks and the express fast path,
+        which compute future occurrence times analytically: pushing
+        the absolute time directly avoids the ``now + (when - now)``
+        float round-trip that a relative timeout would introduce.  ``when`` must not precede ``now``.
         """
         if when < self.now:
             raise SimulationError("schedule_abs into the past")
         seq = self._sequence
         self._sequence = seq + 1
         heapq.heappush(self._heap, (when, seq, event))
+
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at the absolute time ``when`` (see
+        :meth:`schedule_abs`; ``when == now`` runs it after everything
+        already queued for now, like a deferred entry)."""
+        self.schedule_abs(when, Call(self, fn, args))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)

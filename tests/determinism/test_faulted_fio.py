@@ -6,7 +6,15 @@ active-relay chain over a storage link that probabilistically drops
 packets — forcing real retransmissions — produces the exact same
 results, final volume bytes, and fault/recovery timeline on repeat
 runs, and a different injector seed produces a different run.
+
+Run-twice identity cannot see a change that moves every run the same
+way, so seed 21 is also pinned across versions: its results and the
+blake2s digests of its volume bytes and timeline were recorded with the
+Store-and-process link model, which judged faults when a packet started
+serializing — the analytic wire model must keep that judgment order.
 """
+
+import hashlib
 
 from repro.blockdev.disk import BLOCK_SIZE
 from repro.workloads import FioConfig, FioJob
@@ -51,6 +59,26 @@ def test_faulted_fio_run_twice_identical():
     assert first["dropped"] > 0, "loss never fired; the check proves nothing"
     assert first["completed"] == 60, "fio did not survive the loss"
     assert first == second
+
+
+#: ``faulted_fio(21)`` as recorded before the analytic wire model
+PINNED_SEED_21 = {
+    "completed": 60,
+    "elapsed": 0.24820263333333648,
+    "mean_latency": 0.00818592715555566,
+    "p99_latency": 0.03238868799999999,
+    "dropped": 15,
+    "end": 0.2489644546666698,
+    "volume": "70c8d52c8ae99629f5467e26b0be6d5c00aaefccc37f04cd95317e5dc0c2e6ed",
+    "timeline": "99ede3a8c8520f417c43636445283c797ea53b8a91b681f324e9c562b16f6e60",
+}
+
+
+def test_faulted_fio_matches_pinned_run():
+    run = faulted_fio(fault_seed=21)
+    run["volume"] = hashlib.blake2s(run["volume"]).hexdigest()
+    run["timeline"] = hashlib.blake2s(run["timeline"].encode()).hexdigest()
+    assert run == PINNED_SEED_21
 
 
 def test_faulted_fio_seed_changes_run():

@@ -1,6 +1,19 @@
 """Tests for links, switches, flow tables, and steering actions."""
 
-from repro.net import FlowRule, Interface, Link, ModDstMac, Output, Packet, Switch
+import pytest
+
+from repro.faults import FaultInjector
+from repro.net import (
+    ArpTable,
+    FlowRule,
+    Interface,
+    Link,
+    ModDstMac,
+    Node,
+    Output,
+    Packet,
+    Switch,
+)
 from repro.net.switch import Drop, Normal
 from repro.sim import Simulator
 
@@ -182,3 +195,165 @@ def test_packet_trace_records_hops():
     a.interfaces[0].send(pkt)
     sim.run()
     assert received[0].trace == ["sw", "host-b"]
+
+
+# -- wire model: one busy horizon per direction, judged at serialization start
+
+
+class PortSink:
+    """Records ``(dst_port, arrival time)`` of every delivered packet."""
+
+    def __init__(self, sim, name):
+        self.sim = sim
+        self.name = name
+        self.arrivals = []
+
+    def receive(self, packet, iface):
+        self.arrivals.append((packet.dst_port, self.sim.now))
+
+
+def slow_link(sim, latency=0.01):
+    """a -> b at 1 MB/s (1000 B = 1 ms on the wire); returns link, sink at b."""
+    a, b = Interface("a", "m:a"), Interface("b", "m:b")
+    sink = PortSink(sim, "sink")
+    b.owner = sink
+    return Link(sim, a, b, bandwidth=1_000_000, latency=latency), sink
+
+
+def send_port(iface, port, size=1000):
+    iface.send(raw_packet("m:a", "m:b", size=size, dst_port=port))
+
+
+def test_link_construction_schedules_nothing():
+    sim = Simulator()
+    Link(sim, Interface("a", "m:a"), Interface("b", "m:b"))
+    assert sim._sequence == 0
+
+
+def test_dropped_packet_still_occupies_the_wire():
+    sim = Simulator()
+    link, sink = slow_link(sim)
+    FaultInjector(sim, seed=1).drop_next(link, 1)
+    send_port(link.a, 0)
+    send_port(link.a, 1)
+    sim.run()
+    assert [port for port, _t in sink.arrivals] == [1]
+    # packet 1 departs after the dropped packet's 1 ms slot: 2 ms + 10 ms
+    assert sink.arrivals[0][1] == pytest.approx(0.012)
+    assert link.faults.dropped == 1
+
+
+@pytest.mark.parametrize(
+    "install",
+    [
+        lambda inj, link: inj.lossy_link(link, drop=1.0),
+        lambda inj, link: inj.drop_next(link, 2),
+        lambda inj, link: inj.link_down(link),
+    ],
+    ids=["lossy_link", "drop_next", "link_down"],
+)
+def test_waiting_packets_are_judged_at_serialization_start(install):
+    sim = Simulator()
+    link, sink = slow_link(sim)
+    injector = FaultInjector(sim, seed=1)
+    send_port(link.a, 0, size=10_000)  # on the wire 0..10 ms
+    send_port(link.a, 1)  # waits; starts at 10 ms
+    send_port(link.a, 2)  # waits; starts at 11 ms
+    injector.at(0.005, install, injector, link)
+    sim.run()
+    # packet 0 was judged when it started serializing, before the fault
+    # existed; the waiting packets meet the fault when they start
+    assert [port for port, _t in sink.arrivals] == [0]
+    assert sink.arrivals[0][1] == pytest.approx(0.020)
+    assert link.faults.dropped == 2
+
+
+def test_packet_serializing_when_link_goes_down_is_delivered():
+    sim = Simulator()
+    link, sink = slow_link(sim)
+    injector = FaultInjector(sim, seed=1)
+    send_port(link.a, 0, size=10_000)
+    injector.at(0.005, injector.link_down, link)
+    injector.at(0.006, lambda: send_port(link.a, 1))
+    sim.run()
+    assert [port for port, _t in sink.arrivals] == [0]
+    assert link.faults.dropped == 1
+
+
+def test_lossy_link_drop_set_both_directions():
+    """Both directions share one fault RNG stream, so the drop set pins
+    the order of fault judgments across directions.  Recorded with the
+    Store-and-process link model this one replaced."""
+    sim = Simulator()
+    a, b = Interface("a", "m:a"), Interface("b", "m:b")
+    at_a, at_b = PortSink(sim, "A"), PortSink(sim, "B")
+    a.owner, b.owner = at_a, at_b
+    link = Link(sim, a, b, bandwidth=1_000_000, latency=0.002)
+    faults = FaultInjector(sim, seed=7).lossy_link(link, drop=0.3)
+
+    def send(iface, src, dst, port, size):
+        iface.send(raw_packet(src, dst, size=size, dst_port=port))
+
+    for i in range(12):  # a burst that queues behind itself
+        send(a, "m:a", "m:b", i, 1000 + 100 * i)
+    for i in range(12):  # the reverse direction, spaced, also queueing
+        sim.timeout(0.0005 * i).callbacks.append(
+            lambda _e, i=i: send(b, "m:b", "m:a", 100 + i, 700)
+        )
+    sim.run()
+    delivered = {port for port, _t in at_a.arrivals + at_b.arrivals}
+    dropped = sorted((set(range(12)) | set(range(100, 112))) - delivered)
+    assert dropped == [1, 3, 4, 5, 7, 11, 103, 106, 107, 108, 110]
+    assert faults.dropped == len(dropped)
+
+
+def forwarding_pair(sim, forward_delay):
+    """host-a -> router -> host-b, each leg its own link; returns the
+    nodes and the list of ports host-b receives, in order."""
+    net1, net2 = ArpTable("net1"), ArpTable("net2")
+    a, router, b = Node(sim, "host-a"), Node(sim, "router"), Node(sim, "host-b")
+    a_if = a.add_interface(Interface("a.eth0", "m:a", "10.0.0.1"), net1)
+    r0 = router.add_interface(Interface("r.eth0", "m:r0", "10.0.0.254"), net1)
+    r1 = router.add_interface(Interface("r.eth1", "m:r1", "10.0.1.254"), net2)
+    b_if = b.add_interface(Interface("b.eth0", "m:b", "10.0.1.2"), net2)
+    a.stack.add_route("0.0.0.0/0", a_if, via="10.0.0.254")
+    router.stack.add_route("10.0.0.0/24", r0)
+    router.stack.add_route("10.0.1.0/24", r1)
+    b.stack.add_route("0.0.0.0/0", b_if, via="10.0.1.254")
+    Link(sim, a_if, r0)
+    Link(sim, r1, b_if)
+    router.stack.ip_forward = True
+    router.stack.forward_delay = forward_delay
+    seen = []
+    b.stack.packet_taps.append(lambda p, _iface: seen.append(p.dst_port))
+    return a, router, seen
+
+
+def test_forwarding_keeps_arrival_order_across_hook_changes():
+    sim = Simulator()
+    a, router, seen = forwarding_pair(sim, forward_delay=0.001)
+
+    def send(port):
+        a.stack.send_ip(
+            Packet(src_mac="", dst_mac="", src_ip="10.0.0.1", dst_ip="10.0.1.2",
+                   src_port=1, dst_port=port, size=100)
+        )
+
+    def hook(_packet):
+        yield sim.timeout(0.0001)
+
+    def install_hook():
+        router.stack.forward_hook = hook
+        send(3)  # queued behind 0..2, still on the hook-less path
+        send(4)
+
+    def remove_hook():
+        router.stack.forward_hook = None
+        send(5)  # hook-less again, but 3 and 4 are still queued
+
+    for port in range(3):
+        send(port)
+    sim.timeout(0.0015).callbacks.append(lambda _e: install_hook())
+    sim.timeout(0.0016).callbacks.append(lambda _e: remove_hook())
+    sim.run()
+    assert seen == [0, 1, 2, 3, 4, 5]
