@@ -70,7 +70,7 @@ def bench_election(rounds: int = 3) -> dict:
         downtimes.append(_round6(after[0] - crashed_at) if after else None)
     return {
         "wall_s": wall,
-        "events": env.sim._sequence,
+        "events": env.sim.events,
         "sim_elapsed": _round6(env.sim.now),
         "rounds": rounds,
         "downtimes": downtimes,
@@ -117,7 +117,7 @@ def bench_saga_takeover(step_name: str = "narrow", phase: str = "after") -> dict
     (saga,) = storm.intent_log.by_op("attach_with_services")
     return {
         "wall_s": wall,
-        "events": env.sim._sequence,
+        "events": env.sim.events,
         "sim_elapsed": _round6(env.sim.now),
         "crashed_at": _round6(fired["at"]),
         "takeover_latency": _round6(takeover.when - fired["at"]),
@@ -157,7 +157,7 @@ def bench_ship_lag(cycles: int = 6) -> dict:
     lag = bus.metrics.histogram("ha.ship.lag")
     return {
         "wall_s": wall,
-        "events": env.sim._sequence,
+        "events": env.sim.events,
         "sim_elapsed": _round6(env.sim.now),
         "cycles": cycles,
         "entries": lag.count,

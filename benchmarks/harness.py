@@ -60,8 +60,8 @@ def build_testbed(
     ``service_kind`` defaults to no processing for MB-FWD and the
     paper's stream cipher for the relay modes.  ``express=True`` turns
     on the flow-level fast path (application-level results must be
-    bit-identical to packet mode).  ``sim`` lets the shard-matrix
-    tests build the bed on one shard of a ``ShardedKernel``.
+    bit-identical to packet mode).  ``sim`` lets the shared-simulator
+    app matrix build several beds on one :class:`Simulator`.
     """
     if sim is None:
         sim = Simulator()

@@ -47,7 +47,7 @@ def bench_event_churn(n_procs: int = 120, iters: int = 400) -> dict:
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
-    events = sim._sequence
+    events = sim.events
     return {
         "wall_s": wall,
         "events": events,
@@ -81,7 +81,7 @@ def bench_store_pingpong(pairs: int = 40, items: int = 1500) -> dict:
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
-    events = sim._sequence
+    events = sim.events
     return {
         "wall_s": wall,
         "events": events,
@@ -128,7 +128,7 @@ def bench_tcp_transfer(messages: int = 250, size: int = 65536, express: bool = F
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
-    events = sim._sequence
+    events = sim.events
     out = {
         "wall_s": wall,
         "events": events,
@@ -159,7 +159,7 @@ def bench_fio_full(
     bed = build_testbed(MB_ACTIVE, express=express)
     result = fio(bed, 16 * 1024, threads=threads, ios_per_thread=ios_per_thread)
     wall = time.perf_counter() - start
-    events = bed.sim._sequence
+    events = bed.sim.events
     out = {
         "wall_s": wall,
         "events": events,
@@ -199,7 +199,7 @@ def bench_fio_legacy(threads: int = 1, ios_per_thread: int = 60) -> dict:
     bed = build_testbed(LEGACY)
     result = fio(bed, 16 * 1024, threads=threads, ios_per_thread=ios_per_thread)
     wall = time.perf_counter() - start
-    events = bed.sim._sequence
+    events = bed.sim.events
     return {
         "wall_s": wall,
         "events": events,

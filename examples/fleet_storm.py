@@ -1,8 +1,9 @@
-"""Fleet scale: churn a thousand sessions through sharded domains.
+"""Fleet scale: churn a thousand sessions through per-tenant domains.
 
 Runs the open-loop fleet generator (DESIGN.md §15) — heavy-tailed
 arrivals, Zipf tenant skew, a diurnal curve, and two churn storms —
-across four sharded simulation domains with HA control planes, then
+across four per-tenant domains (each its own mini-cloud and HA
+control plane, all on one simulator), then
 shows the two properties the fleet work pins:
 
 - **determinism**: a second identical run produces a byte-identical
@@ -44,7 +45,7 @@ def main():
 
     print("-- fleet report ------------------------------------------")
     print(f"  sessions      {report['sessions']:>8d}  "
-          f"across {report['tenants']} tenants on {report['shards']} shards")
+          f"across {report['tenants']} tenants in {report['shards']} domains")
     print(f"  peak active   {report['peak_concurrent']:>8d}  concurrent sessions")
     print(f"  kernel events {report['events']:>8d}  "
           f"over {report['sim_elapsed']:.2f} simulated seconds")

@@ -271,6 +271,8 @@ class HaCluster:
             rng = self.rng.child(f"timeout:{node.name}")
             self._timeout_rng[node.name] = rng
             self._timeout[node.name] = self._draw_timeout(node.name)
+        #: name -> replica; the replica list never changes after boot
+        self._by_name = {node.name: node for node in self.nodes}
         self._cable_replicas()
 
         self.leader_name: Optional[str] = self.nodes[0].name
@@ -307,10 +309,10 @@ class HaCluster:
         )
 
     def node(self, name: str) -> ControlPlaneNode:
-        for candidate in self.nodes:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no control-plane replica named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no control-plane replica named {name!r}") from None
 
     @property
     def leader_node(self) -> Optional[ControlPlaneNode]:

@@ -2,16 +2,16 @@
 
 ``repro.fleet`` drives the StorM control plane at cloud-operator
 scale: thousands of tenants, hundreds of thousands of attach /
-detach sessions, sharded across per-tenant simulation domains merged
-deterministically by :class:`repro.sim.ShardedKernel`.
+detach sessions, partitioned across per-tenant domains that all run
+on one :class:`repro.sim.Simulator`.
 
 - :class:`FleetConfig` — every knob (seed, shards, arrival process,
   Zipf tenant skew, diurnal curve, churn storms, HA);
 - :func:`build_plan` — the precomputed, seed-deterministic arrival
   schedule;
 - :class:`FleetDomain` — one self-contained mini-cloud + StorM
-  platform per shard;
-- :class:`FleetRun` — builds the sharded kernel, dispatches the plan,
+  platform per domain;
+- :class:`FleetRun` — builds the simulator and domains, dispatches the plan,
   and reports events/s, attach-latency percentiles, and a
   byte-reproducible session trace digest.
 """

@@ -1,11 +1,11 @@
-"""One sharded simulation domain: a self-contained mini-cloud driven
-by fleet session plans.
+"""One fleet domain: a self-contained mini-cloud driven by fleet
+session plans.
 
 Every domain owns its own :class:`~repro.cloud.CloudController`,
-compute/storage hosts, and (optionally HA-replicated) StorM platform,
-all built on one shard of the :class:`~repro.sim.ShardedKernel` — so
-domains never interact and the kernel's per-shard partition rule holds
-by construction.
+compute/storage hosts, and (optionally HA-replicated) StorM platform.
+All domains share the fleet's one :class:`~repro.sim.Simulator`, but
+no simulation object is reachable from two domains, so domains never
+interact: the partition rule holds by construction.
 
 Sessions are *control-plane-faithful, data-plane-synthetic*: each one
 runs the real atomic-attach saga (transient NAT rules, steering-chain
@@ -74,7 +74,7 @@ class _TenantState:
 
 
 class FleetDomain:
-    """One shard's mini-cloud plus its session executor."""
+    """One domain's mini-cloud plus its session executor."""
 
     def __init__(
         self,

@@ -1,4 +1,4 @@
-"""The fleet run: sharded kernel + domains + deterministic reporting."""
+"""The fleet run: one kernel + per-tenant domains + deterministic reporting."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.fleet.arrivals import SessionPlan, build_plan
 from repro.fleet.config import FleetConfig
 from repro.fleet.domain import FleetDomain
 from repro.obs.metrics import MetricsRegistry, percentile
-from repro.sim import ShardedKernel
+from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
 
 
@@ -19,11 +19,12 @@ class FleetRunError(RuntimeError):
 
 
 class FleetRun:
-    """Build the sharded kernel, place tenants, dispatch the plan.
+    """Build the kernel and domains, place tenants, dispatch the plan.
 
-    Tenant ``k`` lives on shard ``k % shards`` — all of a tenant's
+    Tenant ``k`` lives in domain ``k % shards`` — all of a tenant's
     sessions land in one domain, so no simulation object is ever
-    touched from two shards.  The merged event order, the session
+    touched from two domains.  Every domain runs on the one
+    :class:`Simulator` in ``kernel``; the event order, the session
     trace, and every reported figure are pure functions of the
     :class:`FleetConfig`.
     """
@@ -31,10 +32,10 @@ class FleetRun:
     def __init__(self, config: FleetConfig) -> None:
         config.validate()
         self.config = config
-        self.kernel = ShardedKernel(config.shards)
+        self.kernel = Simulator()
         #: shared passive registry (streaming counters and histograms)
         self.metrics = MetricsRegistry()
-        #: session records appended in merged event order — the
+        #: session records appended in event order — the
         #: deterministic byte stream the benchmarks digest, and the
         #: attach latencies the reported percentiles are read from
         self.trace: list[dict] = []
@@ -45,14 +46,12 @@ class FleetRun:
         self.peak_concurrent = 0
         self.completed = 0
 
-        per_shard: list[list[SessionPlan]] = [[] for _ in range(config.shards)]
+        per_domain: list[list[SessionPlan]] = [[] for _ in range(config.shards)]
         for plan in self.plan:
-            per_shard[plan.tenant % config.shards].append(plan)
-        self._per_shard = per_shard
+            per_domain[plan.tenant % config.shards].append(plan)
+        self._per_domain = per_domain
         self.domains = [
-            FleetDomain(
-                self.kernel.shards[i], i, config, self.metrics, self.trace, run=self
-            )
+            FleetDomain(self.kernel, i, config, self.metrics, self.trace, run=self)
             for i in range(config.shards)
         ]
 
@@ -70,7 +69,7 @@ class FleetRun:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> dict:
-        for domain, plans in zip(self.domains, self._per_shard):
+        for domain, plans in zip(self.domains, self._per_domain):
             domain.start(plans)
         self.kernel.run()
         if self.completed != len(self.plan):

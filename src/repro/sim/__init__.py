@@ -22,7 +22,6 @@ from repro.sim.core import (
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import SeededRNG
-from repro.sim.shard import ShardedKernel, ShardSimulator
 
 __all__ = [
     "AllOf",
@@ -32,8 +31,6 @@ __all__ = [
     "Process",
     "Resource",
     "SeededRNG",
-    "ShardSimulator",
-    "ShardedKernel",
     "SimulationError",
     "Simulator",
     "Store",

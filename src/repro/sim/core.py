@@ -300,6 +300,12 @@ class Simulator:
         #: on; ``None`` keeps every hook in the packet path branch-free.
         self.express: Any = None
 
+    @property
+    def events(self) -> int:
+        """Occurrences scheduled so far (sequence numbers handed out):
+        the benchmarks' machine-independent event count."""
+        return self._sequence
+
     # -- scheduling --------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -323,7 +329,7 @@ class Simulator:
     def schedule_abs(self, when: float, event: Event) -> None:
         """Schedule an already-valued event at the absolute time ``when``.
 
-        Used by links, forwarding stacks and the express fast path,
+        Used by links, switches, forwarding stacks and the express fast path,
         which compute future occurrence times analytically: pushing
         the absolute time directly avoids the ``now + (when - now)``
         float round-trip that a relative timeout would introduce.  ``when`` must not precede ``now``.

@@ -45,6 +45,20 @@ def test_heavy_tail_and_diurnal_run_twice_identical():
     assert run_fleet(_config(**config)) == run_fleet(_config(**config))
 
 
+def test_report_is_pinned_across_versions():
+    # values recorded on an earlier version: the kernel's event order,
+    # and so every figure below, must not change with how the domains
+    # are driven
+    report = FleetRun(_config(sessions=300)).run()
+    assert report["trace_digest"] == (
+        "bb20df4a107fdfd6ffc31c1383f4d5b3f26c49dc76ba99822a6275187b5fa165"
+    )
+    assert report["events"] == 4049
+    assert report["sim_elapsed"] == 7.650390368
+    assert report["attach_p50"] == 0.00275
+    assert report["attach_p99"] == 0.007236002
+
+
 def test_all_sessions_complete_and_trace_covers_them():
     run = FleetRun(_config(sessions=300, churn_storms=0))
     report = run.run()

@@ -22,6 +22,14 @@ def test_bootstrap_leader_seated_at_construction():
     assert len(list(cluster.replication_links())) == 3
 
 
+def test_node_lookup_by_name():
+    cluster = ha_env().storm.ha
+    assert [cluster.node(n.name) for n in cluster.nodes] == cluster.nodes
+    assert cluster.leader_node is cluster.nodes[0]
+    with pytest.raises(KeyError, match="no control-plane replica named 'storm-cp9'"):
+        cluster.node("storm-cp9")
+
+
 def test_quorum_validation():
     with pytest.raises(ValueError):
         ha_env(ha_config=HaConfig(replicas=3, quorum=4))

@@ -132,6 +132,32 @@ def test_flow_rule_output_overrides_l2():
     assert rule.hits == 1
 
 
+def test_zero_delay_switch_forwards_in_arrival_order():
+    sim = Simulator()
+    switch = Switch(sim, "sw", forwarding_delay=0.0)
+    sinks = {}
+    for name, mac in [("p1", "m:1"), ("p2", "m:2"), ("p3", "m:3")]:
+        port = switch.add_port(name)
+        sink_iface = Interface(f"{name}.host", mac)
+        sinks[name] = SinkNode(f"sink-{name}")
+        sink_iface.owner = sinks[name]
+        Link(sim, port, sink_iface)
+    rule = FlowRule(priority=10, dst_port=3260, actions=[Output("p3")])
+    # queued before the packets arrive: a zero-delay hop still runs
+    # after everything already queued for now, so every packet sees it
+    installed = sim.event()
+    installed.callbacks.append(lambda _event: switch.flow_table.install(rule))
+    installed.succeed()
+    for src_port, ingress in enumerate(["p1", "p2", "p1", "p2"]):
+        pkt = raw_packet("m:1", "m:2", src_port=src_port, dst_port=3260)
+        switch.receive(pkt, switch.ports[ingress])
+    assert rule.hits == 0  # the hop is an event, not a synchronous call
+    sim.run()
+    assert [p.src_port for p, _ in sinks["p3"].received] == [0, 1, 2, 3]
+    assert sinks["p2"].received == []
+    assert rule.hits == 4
+
+
 def test_flow_rule_priority_order():
     sim = Simulator()
     switch = Switch(sim, "sw")
@@ -227,7 +253,7 @@ def send_port(iface, port, size=1000):
 def test_link_construction_schedules_nothing():
     sim = Simulator()
     Link(sim, Interface("a", "m:a"), Interface("b", "m:b"))
-    assert sim._sequence == 0
+    assert sim.events == 0
 
 
 def test_dropped_packet_still_occupies_the_wire():

@@ -36,7 +36,7 @@ def test_bus_is_passive(runs):
             result.completed,
             result.elapsed,
             list(result.latency.samples),
-            bed.sim._sequence,
+            bed.sim.events,
         )
         for mode, (bed, _bus, result) in runs.items()
     }
