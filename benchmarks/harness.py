@@ -17,6 +17,7 @@ Four configurations, named as in the paper:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 from repro.cloud import CloudController, CloudParams
@@ -28,6 +29,38 @@ from repro.workloads import FioConfig, FioJob
 
 #: simulation-scale stand-in for the paper's 20 GB volume
 VOLUME_SIZE = 16 * 1024 * 1024
+
+#: glibc ``mallopt`` parameters and the value both are pinned to (glibc's
+#: own default, 128 KiB)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_THRESHOLD = 128 * 1024
+
+
+def pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at their 128 KiB defaults.
+
+    By default glibc raises its mmap threshold to the largest mmap'd
+    block freed so far, and its trim threshold to twice that.  A
+    repeated job that frees one multi-megabyte buffer (a digest over
+    every journaled write, say) then builds the next such buffer on the
+    heap, and whether the heap gives those megabytes back depends on how
+    the job's small blocks happen to lie: peak RSS flips between two
+    levels ~8 MB apart from run to run.  Pinned thresholds keep large
+    blocks in their own mappings and trim the heap as soon as it frees
+    128 KiB, so the resident set follows live data.  A no-op where
+    there is no ``mallopt`` (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+
+
+# Every benchmark process imports this module before it builds a testbed.
+pin_malloc_thresholds()
 
 LEGACY = "LEGACY"
 MB_FWD = "MB-FWD"
